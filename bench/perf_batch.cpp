@@ -21,8 +21,8 @@
 // (reported, not gated — on a single-core box they bound each other):
 //
 //   single-shot: the alpd single-COMPILE path per program, minus the
-//     socket — parse for the canonical key, then a supervised captured
-//     session on a fresh per-request worker pool;
+//     socket — parse for the canonical key, then a supervised session
+//     on a fresh per-request worker pool;
 //   batch(1):    BatchSession with Jobs=1 — the same serial compile
 //     order on one persistent warm worker;
 //   batch(hw):   BatchSession at hardware width — request-level
@@ -135,28 +135,22 @@ int main(int argc, char **argv) {
 
   // Single-shot baseline: the alpd COMPILE path per program — canonical
   // keying (with the parse handed on via CompileRequest::PreParsed, as
-  // the server does), a supervised captured session, and a fresh
+  // the server does), a supervised session, and a fresh
   // per-request worker pool with cold arenas. Also the reference copy of
   // every program's bytes. The batch sessions persist across reps, so
   // their pools (and worker arenas) stay warm; one untimed warm-up rep
   // fills them.
-  std::vector<CaptureResult> Reference(Programs);
+  std::vector<CompileResult> Reference(Programs);
   auto SingleRep = [&] {
     for (size_t I = 0; I != Programs; ++I) {
       CompileRequest Req = Items[I];
-      auto Diags = std::make_shared<DiagnosticEngine>();
-      std::optional<Program> P = compileDsl(Req.Source, *Diags);
-      if (P) {
-        RequestKey K = canonicalRequestKey(Req, *P);
-        (void)K; // the un-batched service would look this up
-        Req.PreParsed = std::make_shared<const Program>(std::move(*P));
-        Req.PreParsedDiags = std::move(Diags);
-      }
+      RequestKey K;
+      keyRequest(Req, K); // the un-batched service would look K up
       SupervisorOptions SOpts;
       SOpts.MaxAttempts = 1;
       Supervisor Sup(nullptr, nullptr, SOpts);
       Sup.run(1, [&](size_t, ResourceBudget *) -> Status {
-        Reference[I] = runSessionCaptured(Req);
+        Reference[I] = CompileSession::compile(Req);
         return Status::ok();
       });
     }

@@ -13,7 +13,7 @@
 //
 // Invariants (exit nonzero on violation): the planned schedule sends at
 // least 5x fewer messages AND strictly fewer total cycles on every
-// kernel. Results go to BENCH_comm.json (stats schema v1, same shape as
+// kernel. Results go to BENCH_comm.json (stats schema v2, same shape as
 // the other perf harnesses).
 //
 //   perf_comm [--smoke] [--out <file>]

@@ -19,6 +19,7 @@
 #include "support/FailPoint.h"
 #include "support/Trace.h"
 
+#include <cstdarg>
 #include <sstream>
 
 using namespace alp;
@@ -38,10 +39,28 @@ std::string renderLint(const LintResult &R, DiagFormat Format,
   return "";
 }
 
+/// std::printf onto the end of \p S.
+#if defined(__GNUC__)
+__attribute__((format(printf, 2, 3)))
+#endif
+void appendf(std::string &S, const char *Fmt, ...) {
+  va_list Args, Again;
+  va_start(Args, Fmt);
+  va_copy(Again, Args);
+  int N = std::vsnprintf(nullptr, 0, Fmt, Args);
+  va_end(Args);
+  if (N > 0) {
+    size_t Old = S.size();
+    S.resize(Old + static_cast<size_t>(N) + 1);
+    std::vsnprintf(S.data() + Old, static_cast<size_t>(N) + 1, Fmt, Again);
+    S.resize(Old + static_cast<size_t>(N));
+  }
+  va_end(Again);
+}
+
 } // namespace
 
-CompileResult CompileSession::run(const CompileRequest &Req, std::FILE *Out,
-                                  std::FILE *Err) {
+CompileResult CompileSession::compile(const CompileRequest &Req) {
   CompileResult Res;
   const char *FileName = Req.FileName.c_str();
   DriverOptions Opts = Req.Driver;
@@ -97,8 +116,7 @@ CompileResult CompileSession::run(const CompileRequest &Req, std::FILE *Out,
       return true;
     } catch (...) {
       Status S = statusFromCurrentException();
-      std::fprintf(Err, "error: %s failed: %s\n", StageName,
-                   S.str().c_str());
+      appendf(Res.Err, "error: %s failed: %s\n", StageName, S.str().c_str());
       return false;
     }
   };
@@ -122,7 +140,7 @@ CompileResult CompileSession::run(const CompileRequest &Req, std::FILE *Out,
     Prog = compileDsl(Req.Source, OwnDiags);
   }
   for (const Diagnostic &D : Diags->diagnostics())
-    std::fprintf(Err, "%s:%s\n", FileName, D.str().c_str());
+    appendf(Res.Err, "%s:%s\n", FileName, D.str().c_str());
   if (!Prog)
     return Done(1);
   Program P = std::move(*Prog);
@@ -188,7 +206,7 @@ CompileResult CompileSession::run(const CompileRequest &Req, std::FILE *Out,
     if (HavePD)
       Res.Decomposition = LintPD;
     Res.Lints = R;
-    std::fprintf(Out, "%s", renderLint(R, Req.Format, Req.FileName).c_str());
+    Res.Out += renderLint(R, Req.Format, Req.FileName);
     if (!WriteObservability())
       return Done(1);
     return Done(R.hasErrors() || (Req.WError && R.hasWarnings()) ? 1 : 0);
@@ -214,8 +232,8 @@ CompileResult CompileSession::run(const CompileRequest &Req, std::FILE *Out,
   auto RunDecompose = [&](ProgramDecomposition &DOut) -> bool {
     Expected<ProgramDecomposition> R = decomposeOrError(P, M, Opts);
     if (!R.hasValue()) {
-      std::fprintf(Err, "error: decomposition failed: %s\n",
-                   R.status().str().c_str());
+      appendf(Res.Err, "error: decomposition failed: %s\n",
+              R.status().str().c_str());
       return false;
     }
     DOut = R.takeValue();
@@ -233,7 +251,7 @@ CompileResult CompileSession::run(const CompileRequest &Req, std::FILE *Out,
       WriteObservability();
       return Done(3);
     }
-    std::fprintf(Out, "fused %u nest pair(s)\n", N);
+    appendf(Res.Out, "fused %u nest pair(s)\n", N);
     // Decompose again on the fused program (decompositions per nest id
     // may have been merged).
     if (!RunDecompose(PD)) {
@@ -244,27 +262,27 @@ CompileResult CompileSession::run(const CompileRequest &Req, std::FILE *Out,
   Res.Decomposition = PD;
 
   if (Req.DoIr)
-    std::fprintf(Out, "=== IR ===\n%s\n", printProgram(P).c_str());
+    appendf(Res.Out, "=== IR ===\n%s\n", printProgram(P).c_str());
   if (Req.DoDeps && !RunStage("dependence printing", [&] {
         DependenceAnalysis DA(P);
-        std::fprintf(Out, "=== dependences ===\n");
+        Res.Out += "=== dependences ===\n";
         for (unsigned Id : P.nestsInOrder()) {
-          std::fprintf(Out, "nest %u:\n", Id);
+          appendf(Res.Out, "nest %u:\n", Id);
           for (const Dependence &D : DA.analyze(P.nest(Id)))
-            std::fprintf(Out, "  %s\n", D.str().c_str());
+            appendf(Res.Out, "  %s\n", D.str().c_str());
         }
-        std::fprintf(Out, "\n");
+        Res.Out += "\n";
       })) {
     WriteObservability();
     return Done(3);
   }
 
   Res.DecompositionReport = printDecomposition(P, PD);
-  std::fprintf(Out, "%s", Res.DecompositionReport.c_str());
+  Res.Out += Res.DecompositionReport;
 
   if (Req.DoSpmd && !RunStage("SPMD emission", [&] {
         Res.SpmdText = emitSpmd(P, PD, CG);
-        std::fprintf(Out, "\n=== SPMD ===\n%s", Res.SpmdText.c_str());
+        Res.Out += "\n=== SPMD ===\n" + Res.SpmdText;
       })) {
     WriteObservability();
     return Done(3);
@@ -297,7 +315,7 @@ CompileResult CompileSession::run(const CompileRequest &Req, std::FILE *Out,
     Res.Lints = R;
     if (R.hasErrors() || (Req.WError && R.hasWarnings())) {
       for (const Diagnostic &D : R.Diags)
-        std::fprintf(Err, "schedule: %s\n", D.strWithNotes().c_str());
+        Res.Err += "schedule: " + D.strWithNotes() + "\n";
       WriteObservability();
       return Done(1);
     }
@@ -308,11 +326,10 @@ CompileResult CompileSession::run(const CompileRequest &Req, std::FILE *Out,
           CodegenOptions MsgCG = CG;
           MsgCG.EmitMessages = true;
           Res.SpmdText = emitSpmd(P, PD, MsgCG);
-          std::fprintf(Out, "\n=== SPMD (message passing) ===\n%s",
-                       Res.SpmdText.c_str());
+          Res.Out += "\n=== SPMD (message passing) ===\n" + Res.SpmdText;
         } else if (Req.EmitMode == "comm-plan") {
           Res.CommPlanReport = planCommunication(P, PD, CG).report(P);
-          std::fprintf(Out, "\n%s", Res.CommPlanReport.c_str());
+          Res.Out += "\n" + Res.CommPlanReport;
         }
       })) {
     WriteObservability();
@@ -322,7 +339,7 @@ CompileResult CompileSession::run(const CompileRequest &Req, std::FILE *Out,
   if (Req.DoComm && !RunStage("communication analysis", [&] {
         CommSummary CS = analyzeCommunication(P, PD, CG);
         Res.CommReport = CS.report(P);
-        std::fprintf(Out, "\n%s", Res.CommReport.c_str());
+        Res.Out += "\n" + Res.CommReport;
       })) {
     WriteObservability();
     return Done(3);
@@ -357,17 +374,16 @@ CompileResult CompileSession::run(const CompileRequest &Req, std::FILE *Out,
     Res.Lints = R;
     bool Bad = R.hasErrors() || (Req.WError && R.hasWarnings());
     if (Req.Format != DiagFormat::Text) {
-      std::fprintf(Out, "%s",
-                   renderLint(R, Req.Format, Req.FileName).c_str());
+      Res.Out += renderLint(R, Req.Format, Req.FileName);
       if (Bad) {
         WriteObservability();
         return Done(1);
       }
     } else if (!Bad) {
-      std::fprintf(Out, "\nverify: all decomposition invariants hold\n");
+      Res.Out += "\nverify: all decomposition invariants hold\n";
     } else {
       for (const Diagnostic &D : R.Diags)
-        std::fprintf(Err, "verify: %s\n", D.strWithNotes().c_str());
+        Res.Err += "verify: " + D.strWithNotes() + "\n";
       WriteObservability();
       return Done(1);
     }
@@ -387,19 +403,19 @@ CompileResult CompileSession::run(const CompileRequest &Req, std::FILE *Out,
         }
         applyDecomposition(Sim, P, PD);
         double Seq = Sim.sequentialCycles();
-        std::fprintf(Out, "\n=== simulation (machine: %s, %u procs) ===\n",
-                     Req.MachineName.c_str(), Req.Procs);
-        std::fprintf(Out, "sequential: %.3g cycles\n", Seq);
+        appendf(Res.Out, "\n=== simulation (machine: %s, %u procs) ===\n",
+                Req.MachineName.c_str(), Req.Procs);
+        appendf(Res.Out, "sequential: %.3g cycles\n", Seq);
         for (unsigned Pr = 1; Pr <= Req.Procs; Pr *= 2) {
           SimResult R = Sim.run(Pr);
-          std::fprintf(Out,
-                       "%3u procs: %12.3g cycles  speedup %6.2f  "
-                       "(reorg %.2g, sync %.2g, remote lines %.3g",
-                       Pr, R.Cycles, Seq / R.Cycles, R.ReorgCycles,
-                       R.SyncCycles, R.RemoteLineFetches);
+          appendf(Res.Out,
+                  "%3u procs: %12.3g cycles  speedup %6.2f  "
+                  "(reorg %.2g, sync %.2g, remote lines %.3g",
+                  Pr, R.Cycles, Seq / R.Cycles, R.ReorgCycles, R.SyncCycles,
+                  R.RemoteLineFetches);
           if (M.MessagePassing)
-            std::fprintf(Out, ", msgs %.3g", R.MessagesSent);
-          std::fprintf(Out, ")\n");
+            appendf(Res.Out, ", msgs %.3g", R.MessagesSent);
+          Res.Out += ")\n";
         }
       })) {
     WriteObservability();
@@ -409,12 +425,20 @@ CompileResult CompileSession::run(const CompileRequest &Req, std::FILE *Out,
     return Done(1);
   if (PD.degraded()) {
     Res.Decomposition = PD;
-    std::fprintf(Err, "%s", PD.degradationReport().c_str());
-    std::fprintf(Err,
-                 "note: decomposition is sound but degraded (%zu stage "
-                 "fallback(s))\n",
-                 PD.Degradations.size());
+    Res.Err += PD.degradationReport();
+    appendf(Res.Err,
+            "note: decomposition is sound but degraded (%zu stage "
+            "fallback(s))\n",
+            PD.Degradations.size());
     return Done(4);
   }
   return Done(0);
+}
+
+CompileResult CompileSession::run(const CompileRequest &Req, std::FILE *Out,
+                                  std::FILE *Err) {
+  CompileResult R = compile(Req);
+  std::fwrite(R.Out.data(), 1, R.Out.size(), Out);
+  std::fwrite(R.Err.data(), 1, R.Err.size(), Err);
+  return R;
 }

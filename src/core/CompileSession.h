@@ -9,15 +9,15 @@
 /// CompileSession::run plus artifact writes, and the alpd compilation
 /// service (src/service/) runs the identical pipeline per request.
 ///
-/// Contract: CompileSession::run(Req, Out, Err) writes to the two stdio
-/// streams exactly the bytes the alpc CLI historically wrote to stdout and
-/// stderr for the same selections, and returns the CLI exit code (0
+/// Contract: CompileSession::compile(Req) returns the CLI exit code (0
 /// success; 1 parse / verify / lint-gate failure; 3 a stage failed
-/// outright; 4 success but degraded). Callers that want the output as
-/// strings hand it open_memstream(3) streams; alpc hands it stdout/stderr
-/// directly. Structured results (the decomposition, lint diagnostics,
-/// emitted SPMD text, comm-plan report, stats snapshot, degradation
-/// ledger) ride alongside in the CompileResult.
+/// outright; 4 success but degraded) and, in CompileResult::Out / Err,
+/// exactly the bytes the alpc CLI writes to stdout and stderr for the
+/// same selections. Structured results (the decomposition, lint
+/// diagnostics, emitted SPMD text, comm-plan report, stats snapshot,
+/// degradation ledger) ride alongside. CompileSession::run is the same
+/// call writing the two byte strings to stdio streams, which is what alpc
+/// does.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,7 +37,8 @@
 
 namespace alp {
 
-/// How --lint / --verify diagnostics are rendered.
+/// How --lint / --verify diagnostics are rendered. The enumerators follow
+/// the order of --diagnostics-format's words (core/CompileOptions.cpp).
 enum class DiagFormat { Text, Json, Sarif };
 
 /// Rendered observability artifacts (the --trace / --stats payloads),
@@ -46,7 +47,7 @@ struct CompileArtifacts {
   bool HasTrace = false;
   std::string TraceJson; ///< Chrome trace-event JSON.
   bool HasStats = false;
-  std::string StatsJson; ///< Versioned stats JSON (schema v1).
+  std::string StatsJson; ///< Versioned stats JSON (schema v2).
 };
 
 /// Everything one compile needs: the source text, the driver and machine
@@ -60,10 +61,9 @@ struct CompileRequest {
   /// Front-end fast path: a program already parsed from Source plus that
   /// parse's frontend diagnostics. When set, the session skips its own
   /// compileDsl call, replays these diagnostics, and pipelines a copy of
-  /// the program — byte-identical to re-parsing. Set by callers that
-  /// parsed for canonical keying anyway (BatchSession's pre-key pass, the
-  /// alpd cache-miss path); derived from Source, so neither field is part
-  /// of the canonical request fingerprint.
+  /// the program — byte-identical to re-parsing. Set by keyRequest
+  /// (service/DecompositionCache.h), which parses for canonical keying
+  /// anyway; the key reads both as the parse of Source.
   std::shared_ptr<const Program> PreParsed;
   std::shared_ptr<const DiagnosticEngine> PreParsedDiags;
 
@@ -103,15 +103,19 @@ struct CompileRequest {
   /// Called at the pipeline's historical --trace/--stats write point (once
   /// per run, on every exit path past the front end). Returns false on I/O
   /// failure, which maps to exit code 1 on otherwise-successful runs. May
-  /// be null: artifacts are then only kept in the result.
+  /// be null: artifacts are then only kept in the result. It runs inside
+  /// compile(), before run() writes any byte, and every stdout byte
+  /// precedes it: a writer that prints defers that until run() returns.
   std::function<bool(const CompileArtifacts &)> WriteArtifacts;
 };
 
-/// What one compile produced, beyond the stream bytes.
+/// What one compile produced.
 struct CompileResult {
   /// The alpc exit code: 0 ok, 1 parse/lint/verify/artifact-write failure,
   /// 3 stage failure, 4 sound but degraded.
   int ExitCode = 0;
+  /// The bytes alpc writes to stdout and to stderr for the request.
+  std::string Out, Err;
   /// The decomposition, when one was computed (also set in lint mode when
   /// the schedule passes decomposed a private copy). Its Degradations
   /// member is the degradation ledger.
@@ -141,9 +145,11 @@ struct CompileResult {
 /// registry.
 class CompileSession {
 public:
-  /// Runs the full pipeline for \p Req, writing the CLI byte stream to
-  /// \p Out / \p Err (never null; alpc passes stdout/stderr, the service
-  /// passes open_memstream streams).
+  /// Runs the full pipeline for \p Req.
+  static CompileResult compile(const CompileRequest &Req);
+
+  /// compile(), then the result's Out / Err bytes written to \p Out /
+  /// \p Err (never null).
   static CompileResult run(const CompileRequest &Req, std::FILE *Out,
                            std::FILE *Err);
 };

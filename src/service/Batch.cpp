@@ -2,62 +2,15 @@
 
 #include "service/Batch.h"
 
-#include "frontend/Lowering.h"
 #include "service/DecompositionCache.h"
 #include "support/Diagnostics.h"
 #include "support/StatsReport.h"
 #include "support/Supervisor.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <optional>
 #include <unordered_map>
 
 using namespace alp;
-
-namespace {
-
-/// Mirrors ServerOptions::RequestDeadlineMs: never extends a deadline the
-/// request already carries.
-void clampDeadline(CompileRequest &Req, uint64_t MaxMs) {
-  if (MaxMs &&
-      (Req.Driver.DeadlineMs == 0 || Req.Driver.DeadlineMs > MaxMs))
-    Req.Driver.DeadlineMs = MaxMs;
-}
-
-} // namespace
-
-CaptureResult alp::runSessionCaptured(const CompileRequest &Req) {
-  CaptureResult R;
-  char *OutBuf = nullptr, *ErrBuf = nullptr;
-  size_t OutLen = 0, ErrLen = 0;
-  std::FILE *OutF = open_memstream(&OutBuf, &OutLen);
-  std::FILE *ErrF = open_memstream(&ErrBuf, &ErrLen);
-  if (!OutF || !ErrF) {
-    if (OutF)
-      std::fclose(OutF);
-    if (ErrF)
-      std::fclose(ErrF);
-    std::free(OutBuf);
-    std::free(ErrBuf);
-    R.ExitCode = 3;
-    R.Err = "error: service: cannot allocate capture streams\n";
-    return R;
-  }
-  CompileResult CR = CompileSession::run(Req, OutF, ErrF);
-  R.ExitCode = CR.ExitCode;
-  R.LintErrors = CR.Lints.count(Diagnostic::Kind::Error);
-  R.LintWarnings = CR.Lints.count(Diagnostic::Kind::Warning);
-  if (CR.Decomposition)
-    R.Degradations = static_cast<unsigned>(CR.Decomposition->Degradations.size());
-  std::fclose(OutF);
-  std::fclose(ErrF);
-  R.Out.assign(OutBuf, OutLen);
-  R.Err.assign(ErrBuf, ErrLen);
-  std::free(OutBuf);
-  std::free(ErrBuf);
-  return R;
-}
 
 BatchSession::BatchSession(const BatchOptions &O)
     : Opts(O), Pool(Opts.Jobs ? Opts.Jobs : ThreadPool::hardwareConcurrency()) {}
@@ -68,29 +21,19 @@ BatchSession::run(const std::vector<CompileRequest> &Items) {
   std::vector<BatchItemResult> Res(N);
 
   // Pass 1 — pre-key every item in parallel. Pure per item: parse the
-  // source and form the canonical whole-program key. Parse failures keep
-  // no key and compile individually (the session re-renders the
-  // diagnostics deterministically).
-  struct KeyInfo {
+  // source and form the canonical key; the parse rides along so the
+  // compile pass skips re-parsing. Parse failures keep no key and compile
+  // individually (the session re-renders the diagnostics
+  // deterministically).
+  struct Prepared {
+    CompileRequest Req;
     bool HaveKey = false;
     RequestKey Key;
-    /// The pre-key parse, kept so the compile pass skips re-parsing
-    /// (CompileRequest::PreParsed).
-    std::shared_ptr<const Program> Prog;
-    std::shared_ptr<const DiagnosticEngine> Diags;
   };
-  std::vector<KeyInfo> Keys(N);
+  std::vector<Prepared> Prep(N);
   Pool.parallelFor(N, [&](size_t I) {
-    CompileRequest Req = Items[I];
-    clampDeadline(Req, Opts.RequestDeadlineMs);
-    auto Diags = std::make_shared<DiagnosticEngine>();
-    std::optional<Program> P = compileDsl(Req.Source, *Diags);
-    if (P) {
-      Keys[I].Key = canonicalRequestKey(Req, *P);
-      Keys[I].HaveKey = true;
-      Keys[I].Prog = std::make_shared<const Program>(std::move(*P));
-      Keys[I].Diags = std::move(Diags);
-    }
+    Prep[I].Req = Items[I];
+    Prep[I].HaveKey = keyRequest(Prep[I].Req, Prep[I].Key);
   });
 
   // Pass 2 — resolve serially in request order, so which item is the
@@ -103,11 +46,11 @@ BatchSession::run(const std::vector<CompileRequest> &Items) {
   std::unordered_map<std::string, size_t> RepOf;
   std::vector<size_t> ToCompile;
   for (size_t I = 0; I != N; ++I) {
-    if (!Keys[I].HaveKey) {
+    if (!Prep[I].HaveKey) {
       ToCompile.push_back(I);
       continue;
     }
-    auto It = RepOf.find(Keys[I].Key.Repr);
+    auto It = RepOf.find(Prep[I].Key.Repr);
     if (It != RepOf.end()) {
       How[I] = Serve::Dedup;
       RepIndex[I] = It->second;
@@ -115,7 +58,7 @@ BatchSession::run(const std::vector<CompileRequest> &Items) {
     }
     if (Opts.Cache) {
       DecompositionCache::Entry Cached;
-      if (Opts.Cache->lookup(Keys[I].Key, Cached)) {
+      if (Opts.Cache->lookup(Prep[I].Key, Cached)) {
         How[I] = Serve::Cache;
         Res[I].CacheHit = true;
         Res[I].ExitCode = Cached.ExitCode;
@@ -124,7 +67,7 @@ BatchSession::run(const std::vector<CompileRequest> &Items) {
         continue;
       }
     }
-    RepOf.emplace(Keys[I].Key.Repr, I);
+    RepOf.emplace(Prep[I].Key.Repr, I);
     ToCompile.push_back(I);
   }
 
@@ -132,8 +75,9 @@ BatchSession::run(const std::vector<CompileRequest> &Items) {
   // persistent pool. Each request's own driver reuses the same pool
   // (nested sections degrade to serial on the warm worker) and publishes
   // its counters into the shared aggregate registry; both are
-  // deterministic merges.
-  std::vector<CaptureResult> Captured(ToCompile.size());
+  // deterministic merges. A worker keeps only its item's bytes and report
+  // facts, so the rest of each result is freed on the worker.
+  std::vector<ItemRow> NewRows(N);
   SupervisorOptions SOpts;
   SOpts.MaxAttempts = Opts.MaxAttempts;
   SOpts.Observe = TraceContext{nullptr, &Agg};
@@ -141,56 +85,51 @@ BatchSession::run(const std::vector<CompileRequest> &Items) {
   std::vector<SupervisedOutcome> Outcomes =
       Sup.run(ToCompile.size(), [&](size_t K, ResourceBudget *) -> Status {
         size_t I = ToCompile[K];
-        CompileRequest Req = Items[I];
-        clampDeadline(Req, Opts.RequestDeadlineMs);
-        Req.PreParsed = Keys[I].Prog;
-        Req.PreParsedDiags = Keys[I].Diags;
+        CompileRequest &Req = Prep[I].Req;
         Req.Driver.Pool = &Pool;
         Req.Driver.Observe = TraceContext{nullptr, &Agg};
-        Captured[K] = runSessionCaptured(Req);
+        CompileResult R = CompileSession::compile(Req);
+        Res[I].ExitCode = R.ExitCode;
+        Res[I].Output = std::move(R.Out);
+        Res[I].Error = std::move(R.Err);
+        NewRows[I].LintErrors = R.Lints.count(Diagnostic::Kind::Error);
+        NewRows[I].LintWarnings = R.Lints.count(Diagnostic::Kind::Warning);
+        if (R.Decomposition)
+          NewRows[I].Degradations =
+              static_cast<unsigned>(R.Decomposition->Degradations.size());
         return Status::ok();
       });
 
-  // Pass 4 — merge serially in request order: land compiled results,
-  // insert them into the shared cache, then copy dedup hits from their
-  // representative, and tally.
+  // Pass 4 — merge serially in request order: land supervised failures,
+  // insert compiled results into the shared cache, then copy dedup hits
+  // from their representative, and tally.
   for (size_t K = 0; K != ToCompile.size(); ++K) {
     size_t I = ToCompile[K];
     if (K < Outcomes.size() && Outcomes[K].degraded()) {
-      // Same shape as the service's supervised-compile failure path.
-      Captured[K] = CaptureResult{};
-      Captured[K].ExitCode = 3;
-      Captured[K].Err = "error: service: " + Outcomes[K].Result.str() + "\n";
-    }
-    Res[I].ExitCode = Captured[K].ExitCode;
-    Res[I].Output = Captured[K].Out;
-    Res[I].Error = Captured[K].Err;
-    if (Opts.Cache && Keys[I].HaveKey) {
+      // Answered like the service's supervised-compile failure, but an
+      // accident of this run, not a function of the request: not cached.
+      Res[I] = BatchItemResult{};
+      Res[I].ExitCode = 3;
+      Res[I].Error = "error: service: " + Outcomes[K].Result.str() + "\n";
+      NewRows[I] = ItemRow{};
+    } else if (Opts.Cache && Prep[I].HaveKey) {
       DecompositionCache::Entry E;
       E.ExitCode = Res[I].ExitCode;
       E.Output = Res[I].Output;
       E.Error = Res[I].Error;
-      Opts.Cache->insert(Keys[I].Key, std::move(E));
+      Opts.Cache->insert(Prep[I].Key, std::move(E));
     }
   }
-  std::unordered_map<size_t, size_t> CapturedOf;
-  for (size_t K = 0; K != ToCompile.size(); ++K)
-    CapturedOf.emplace(ToCompile[K], K);
 
   uint64_t RunCacheHits = 0, RunDedupHits = 0;
   for (size_t I = 0; I != N; ++I) {
-    ItemRow Row;
+    ItemRow &Row = NewRows[I];
     Row.File = Items[I].FileName;
     switch (How[I]) {
-    case Serve::Compile: {
+    case Serve::Compile:
       Row.Family = "compile";
-      const CaptureResult &C = Captured[CapturedOf[I]];
-      Row.LintErrors = C.LintErrors;
-      Row.LintWarnings = C.LintWarnings;
-      Row.Degradations = C.Degradations;
       ++Compiles;
       break;
-    }
     case Serve::Cache:
       Row.Family = "cache";
       ++CacheHits;

@@ -24,8 +24,10 @@
 ///      across requests — a warm batch is allocation-free in the linalg
 ///      steady state (ArenaTest.BatchSteadyStateAllocationFree);
 ///   4. merge, serially in request order: results land per item, compiled
-///      entries are inserted into the shared cache, dedup hits copy their
-///      representative's bytes, and the batch.* tallies are published.
+///      entries are inserted into the shared cache (never a supervised
+///      failure, which is not a function of the request), dedup hits copy
+///      their representative's bytes, and the batch.* tallies are
+///      published.
 ///
 /// Determinism: the set of compiled programs, every per-item byte, and
 /// the aggregate report are pure functions of the requests and the
@@ -50,21 +52,6 @@ namespace alp {
 
 class DecompositionCache;
 
-/// A CompileSession run with both CLI streams captured in memory plus the
-/// result facts the batch report aggregates. Exported here so the server's
-/// single-COMPILE path and the batch path capture identically.
-struct CaptureResult {
-  int ExitCode = 0;
-  std::string Out, Err;
-  unsigned LintErrors = 0;   ///< Lint/verify diagnostics of Kind::Error.
-  unsigned LintWarnings = 0; ///< ... and Kind::Warning.
-  unsigned Degradations = 0; ///< Decomposition degradation-ledger entries.
-};
-
-/// Runs the session for \p Req with stdout/stderr captured via
-/// open_memstream; never throws past the session's own guarantees.
-CaptureResult runSessionCaptured(const CompileRequest &Req);
-
 /// One item's outcome, in request order.
 struct BatchItemResult {
   int ExitCode = 0;
@@ -82,9 +69,6 @@ struct BatchOptions {
   DecompositionCache *Cache = nullptr;
   /// Supervisor attempts per compiled item (first run + retries).
   unsigned MaxAttempts = 1;
-  /// Clamp applied to every item's DriverOptions::DeadlineMs (0 = none),
-  /// mirroring ServerOptions::RequestDeadlineMs.
-  uint64_t RequestDeadlineMs = 0;
 };
 
 class BatchSession {

@@ -2,11 +2,14 @@
 
 #include "service/DecompositionCache.h"
 
+#include "core/CompileOptions.h"
 #include "core/CompileSession.h"
+#include "frontend/Lowering.h"
 #include "ir/Printer.h"
 #include "support/AtomicFile.h"
 #include "support/FailPoint.h"
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -18,7 +21,48 @@ namespace {
 /// before it is trusted, so a corrupt-image recovery path can be forced.
 FailPoint FpCacheLoad("service.cache.load");
 
-constexpr const char *CacheMagic = "alp-decomposition-cache 1";
+/// Changes whenever the key text does, so an older image is discarded
+/// rather than misread.
+constexpr const char *CacheMagic = "alp-decomposition-cache 2";
+
+void appendLoc(const SourceLoc &L, std::string &Out) {
+  Out += std::to_string(L.Line);
+  Out += ':';
+  Out += std::to_string(L.Column);
+  Out += ' ';
+}
+
+void appendBranchProbabilities(const std::vector<ProgramNode> &Nodes,
+                               std::string &Out) {
+  for (const ProgramNode &N : Nodes) {
+    if (N.NodeKind == ProgramNode::Kind::Branch) {
+      char Buf[32];
+      std::snprintf(Buf, sizeof(Buf), "p%.17g ", N.TakenProbability);
+      Out += Buf;
+    }
+    appendBranchProbabilities(N.Children, Out);
+    appendBranchProbabilities(N.ElseChildren, Out);
+  }
+}
+
+/// What an answer can print about \p P that printProgram leaves out: the
+/// positions diagnostics anchor at, each statement's @cost, and the exact
+/// branch probabilities (printProgram rounds them).
+void appendSourceFacts(const Program &P, std::string &Out) {
+  for (const ArraySymbol &A : P.Arrays)
+    appendLoc(A.Loc, Out);
+  for (const LoopNest &Nest : P.Nests) {
+    for (const Loop &L : Nest.Loops)
+      appendLoc(L.Loc, Out);
+    for (const Statement &S : Nest.Body) {
+      appendLoc(S.Loc, Out);
+      Out += 'w' + std::to_string(S.WorkCycles) + ' ';
+      for (const ArrayAccess &A : S.Accesses)
+        appendLoc(A.Loc, Out);
+    }
+  }
+  appendBranchProbabilities(P.TopLevel, Out);
+}
 
 } // namespace
 
@@ -31,44 +75,39 @@ uint64_t alp::fnv1aHash(const std::string &Bytes) {
   return H;
 }
 
-std::string alp::requestFingerprint(const CompileRequest &Req) {
-  // Every field that can change the answer bytes, in a fixed order.
-  // Driver.Jobs is deliberately absent (output is byte-identical for
-  // every value — the determinism contract); the Partition/Orientation
-  // seed templates are not reachable from a service request and are
-  // likewise excluded.
-  const DriverOptions &D = Req.Driver;
-  std::ostringstream OS;
-  OS << "machine=" << Req.MachineName << " procs=" << Req.Procs
-     << " block=" << Req.Block << " spmd=" << Req.DoSpmd
-     << " ir=" << Req.DoIr << " deps=" << Req.DoDeps << " sim=" << Req.DoSim
-     << " comm=" << Req.DoComm << " fuse=" << Req.DoFuse
-     << " verify=" << Req.DoVerify << " lint=" << Req.DoLint
-     << " werror=" << Req.WError << " emit=" << Req.EmitMode
-     << " miscompile=" << static_cast<int>(Req.Miscompile)
-     << " format=" << static_cast<int>(Req.Format)
-     << " lintsel=" << Req.LintPassesExplicit << Req.SelRace << Req.SelModel
-     << Req.SelDecomp << Req.SelSchedule << " local=" << D.RunLocalPhase
-     << " blocking=" << D.EnableBlocking
-     << " policy=" << static_cast<int>(D.Policy)
-     << " multilevel=" << D.MultiLevel << " repl=" << D.EnableReplication
-     << " proj=" << D.EnableIdleProjection
-     << " maxfm=" << D.Budget.MaxFMConstraints
-     << " maxsteps=" << D.Budget.MaxEliminationSteps
-     << " maxiters=" << D.Budget.MaxSolverIterations
-     << " deadline=" << D.DeadlineMs << " attempts=" << D.TaskAttempts
-     << " taskdeadline=" << D.TaskDeadlineMs;
-  return OS.str();
-}
-
 RequestKey alp::canonicalRequestKey(const CompileRequest &Req,
                                     const Program &P) {
   RequestKey K;
-  K.Repr = requestFingerprint(Req);
+  K.Repr = "file=" + std::to_string(Req.FileName.size()) + ':' + Req.FileName;
+  for (const RequestOption &O : requestOptions())
+    if (O.Key) {
+      K.Repr += ' ';
+      K.Repr += O.Name + 2;
+      K.Repr += '=';
+      O.Key(Req, K.Repr);
+    }
   K.Repr += '\n';
+  appendSourceFacts(P, K.Repr);
+  K.Repr += '\n';
+  if (Req.PreParsedDiags)
+    for (const Diagnostic &D : Req.PreParsedDiags->diagnostics()) {
+      K.Repr += D.str();
+      K.Repr += '\n';
+    }
   K.Repr += printProgram(P);
   K.Hash = fnv1aHash(K.Repr);
   return K;
+}
+
+bool alp::keyRequest(CompileRequest &Req, RequestKey &Key) {
+  auto Diags = std::make_shared<DiagnosticEngine>();
+  std::optional<Program> P = compileDsl(Req.Source, *Diags);
+  if (!P)
+    return false;
+  Req.PreParsed = std::make_shared<const Program>(std::move(*P));
+  Req.PreParsedDiags = std::move(Diags);
+  Key = canonicalRequestKey(Req, *Req.PreParsed);
+  return true;
 }
 
 DecompositionCache::DecompositionCache(size_t MaxEntries)

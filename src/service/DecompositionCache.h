@@ -9,13 +9,16 @@
 /// from here without running the decomposition pipeline at all.
 ///
 /// Keying extends the linalg/SystemKey idiom up to whole programs: the
-/// key serializes an options fingerprint (every semantic CompileRequest
-/// field) plus the canonical IR text of the parsed program
-/// (ir/Printer.h's printProgram), hashes the serialization with FNV-1a,
-/// and keeps the serialization alongside the hash so lookups compare
-/// exactly — a hash collision can never alias two different requests to
-/// one answer. Printing the IR (rather than hashing the raw source)
-/// means requests that differ only in whitespace or comments share an
+/// key serializes the request label and every keyed option of the one
+/// option table (core/CompileOptions.h), the source facts an answer can
+/// print that the IR text leaves out, the frontend's warnings, and the
+/// canonical IR text of the parsed program (ir/Printer.h's printProgram);
+/// it hashes the serialization with FNV-1a and keeps the serialization
+/// alongside the hash so lookups compare exactly — a hash collision can
+/// never alias two different requests to one answer. Equal keys mean
+/// byte-identical answers. Printing the IR (rather than hashing the raw
+/// source) means requests whose layout moves no token (trailing blanks,
+/// a comment after a line's last token, blank lines at the end) share an
 /// entry.
 ///
 /// Concurrency: the table is split into a fixed number of shards, each
@@ -76,17 +79,21 @@ struct RequestKeyHash {
 /// service keys; seeded with the standard offset basis).
 uint64_t fnv1aHash(const std::string &Bytes);
 
-/// Canonical fingerprint of every semantic field of \p Req (machine,
-/// procs, block, stage selections, budget limits, policy...). Two
-/// requests with equal fingerprints and equal canonical IR produce
-/// byte-identical answers, so the pair is a sound cache key. The raw
-/// Source and FileName are deliberately excluded (FileName only labels
-/// diagnostics of programs that parse, and parse failures bypass the
-/// cache).
-std::string requestFingerprint(const CompileRequest &Req);
-
-/// Builds the key for \p Req whose source parsed to \p P.
+/// Builds the key for \p Req whose source parsed to \p P: the label
+/// (FileName, which every diagnostic prints and JSON/SARIF name as the
+/// file), the setting of every keyed entry of core/CompileOptions.h, the
+/// source positions the IR carries (arrays, loops, statements, accesses:
+/// diagnostics print them), the statement costs and exact branch
+/// probabilities printProgram omits or rounds, the parse's warnings when
+/// Req.PreParsedDiags holds them, and printProgram(P).
 RequestKey canonicalRequestKey(const CompileRequest &Req, const Program &P);
+
+/// The service's keying step: parses \p Req's source and, when it
+/// parses, returns true with the key in \p Key and the parse handed on to
+/// the session (CompileRequest::PreParsed / PreParsedDiags), so the
+/// source is never parsed twice. A parse failure has no key: the request
+/// bypasses the cache and the session renders the diagnostics.
+bool keyRequest(CompileRequest &Req, RequestKey &Key);
 
 /// The sharded, generation-aged answer cache.
 class DecompositionCache {

@@ -2,8 +2,8 @@
 
 #include "service/Server.h"
 
+#include "core/CompileOptions.h"
 #include "core/CompileSession.h"
-#include "frontend/Lowering.h"
 #include "service/Batch.h"
 #include "support/CliFlags.h"
 #include "support/Supervisor.h"
@@ -26,195 +26,36 @@ using namespace alp;
 
 bool alp::parseServiceRequestFlags(const std::string &Line,
                                    CompileRequest &Req, std::string &Err) {
-  DriverOptions &Opts = Req.Driver;
-  std::string LintPassesSpec;
-
-  auto BoolFlag = [](bool &Target, bool Value) {
-    return [&Target, Value](const std::string &) {
-      Target = Value;
-      return true;
-    };
-  };
-  auto U64Flag = [](uint64_t &Target) {
-    return [&Target](const std::string &V) { return parseU64(V, Target); };
-  };
-
-  // The semantic subset of alpc's flag table: same names, same value
-  // grammar, minus the CLI-only I/O flags (--trace/--stats/--failpoints).
-  const std::vector<FlagSpec> Table = {
-      {"--no-local-phase", nullptr, "", BoolFlag(Opts.RunLocalPhase, false)},
-      {"--no-blocking", nullptr, "", BoolFlag(Opts.EnableBlocking, false)},
-      {"--no-replication", nullptr, "",
-       BoolFlag(Opts.EnableReplication, false)},
-      {"--no-projection", nullptr, "",
-       BoolFlag(Opts.EnableIdleProjection, false)},
-      {"--force-single", nullptr, "",
-       [&](const std::string &) {
-         Opts.Policy = JoinPolicy::ForceSingle;
-         return true;
-       }},
-      {"--never-join", nullptr, "",
-       [&](const std::string &) {
-         Opts.Policy = JoinPolicy::NeverJoin;
-         return true;
-       }},
-      {"--multi-level", nullptr, "", BoolFlag(Opts.MultiLevel, true)},
-      {"--fuse", nullptr, "", BoolFlag(Req.DoFuse, true)},
-      {"--spmd", nullptr, "", BoolFlag(Req.DoSpmd, true)},
-      {"--emit", "spmd|comm-plan", "",
-       [&](const std::string &V) {
-         if (V != "spmd" && V != "comm-plan")
-           return false;
-         Req.EmitMode = V;
-         return true;
-       }},
-      {"--machine", "dash|touchstone", "",
-       [&](const std::string &V) {
-         if (V != "dash" && V != "touchstone")
-           return false;
-         Req.MachineName = V;
-         return true;
-       }},
-      {"--comm", nullptr, "", BoolFlag(Req.DoComm, true)},
-      {"--print-ir", nullptr, "", BoolFlag(Req.DoIr, true)},
-      {"--deps", nullptr, "", BoolFlag(Req.DoDeps, true)},
-      {"--lint", nullptr, "", BoolFlag(Req.DoLint, true)},
-      {"--lint-passes", "list", "",
-       [&](const std::string &V) {
-         LintPassesSpec = V;
-         return true;
-       }},
-      {"--miscompile", "mode", "",
-       [&](const std::string &V) {
-         return parseMiscompileMode(V, Req.Miscompile);
-       }},
-      {"--verify", nullptr, "", BoolFlag(Req.DoVerify, true)},
-      {"--Werror", nullptr, "", BoolFlag(Req.WError, true)},
-      {"--diagnostics-format", "text|json|sarif", "",
-       [&](const std::string &V) {
-         if (V == "text")
-           Req.Format = DiagFormat::Text;
-         else if (V == "json")
-           Req.Format = DiagFormat::Json;
-         else if (V == "sarif")
-           Req.Format = DiagFormat::Sarif;
-         else
-           return false;
-         return true;
-       }},
-      {"--simulate", nullptr, "", BoolFlag(Req.DoSim, true)},
-      {"--procs", "N", "",
-       [&](const std::string &V) {
-         uint64_t U;
-         if (!parseU64(V, U))
-           return false;
-         Req.Procs = static_cast<unsigned>(U);
-         return true;
-       }},
-      {"--block", "N", "",
-       [&](const std::string &V) {
-         uint64_t U;
-         if (!parseU64(V, U))
-           return false;
-         Req.Block = static_cast<int64_t>(U);
-         return true;
-       }},
-      {"--max-fm", "N", "", U64Flag(Opts.Budget.MaxFMConstraints)},
-      {"--max-steps", "N", "", U64Flag(Opts.Budget.MaxEliminationSteps)},
-      {"--max-iters", "N", "", U64Flag(Opts.Budget.MaxSolverIterations)},
-      {"--deadline-ms", "N", "", U64Flag(Opts.DeadlineMs)},
-      {"--jobs", "N", "",
-       [&](const std::string &V) {
-         uint64_t U;
-         if (!parseU64(V, U))
-           return false;
-         Opts.Jobs = static_cast<unsigned>(U);
-         return true;
-       }},
-      {"--task-retries", "N", "",
-       [&](const std::string &V) {
-         uint64_t U;
-         if (!parseU64(V, U))
-           return false;
-         Opts.TaskAttempts = static_cast<unsigned>(U) + 1;
-         return true;
-       }},
-      {"--task-deadline-ms", "N", "", U64Flag(Opts.TaskDeadlineMs)},
-  };
-
-  // Tokenize on spaces, then apply the table with alpc's value grammar
-  // (--flag=value or --flag value), reporting errors as a string instead
-  // of stderr.
   std::vector<std::string> Tokens;
   std::istringstream TS(Line);
   for (std::string T; TS >> T;)
     Tokens.push_back(T);
+  Err = parseFlags(requestFlags(Req), Tokens);
+  return Err.empty();
+}
 
-  for (size_t I = 0; I != Tokens.size(); ++I) {
-    const std::string &A = Tokens[I];
-    if (A.rfind("--", 0) != 0) {
-      Err = "unexpected operand '" + A + "'";
-      return false;
-    }
-    std::string Name = A, Value;
-    bool HasValue = false;
-    if (size_t Eq = A.find('='); Eq != std::string::npos) {
-      Name = A.substr(0, Eq);
-      Value = A.substr(Eq + 1);
-      HasValue = true;
-    }
-    const FlagSpec *Spec = nullptr;
-    for (const FlagSpec &F : Table)
-      if (Name == F.Name) {
-        Spec = &F;
-        break;
-      }
-    if (!Spec) {
-      Err = "unknown option '" + Name + "'";
-      return false;
-    }
-    if (!Spec->Arg) {
-      if (HasValue) {
-        Err = "option '" + Name + "' takes no value";
-        return false;
-      }
-    } else if (!HasValue) {
-      if (I + 1 == Tokens.size()) {
-        Err = "option '" + Name + "' requires a value";
-        return false;
-      }
-      Value = Tokens[++I];
-    }
-    if (!Spec->Apply(Value)) {
-      Err = "invalid value '" + Value + "' for option '" + Name + "'";
-      return false;
-    }
-  }
+namespace {
 
-  if (!LintPassesSpec.empty()) {
-    Req.LintPassesExplicit = true;
-    Req.SelRace = Req.SelModel = Req.SelDecomp = Req.SelSchedule = false;
-    std::string Spec = LintPassesSpec;
-    while (!Spec.empty()) {
-      size_t Comma = Spec.find(',');
-      std::string Id = Spec.substr(0, Comma);
-      Spec = Comma == std::string::npos ? "" : Spec.substr(Comma + 1);
-      if (Id == "race")
-        Req.SelRace = true;
-      else if (Id == "model")
-        Req.SelModel = true;
-      else if (Id == "decomp")
-        Req.SelDecomp = true;
-      else if (Id == "schedule")
-        Req.SelSchedule = true;
-      else {
-        Err = "unknown lint pass '" + Id + "'";
-        return false;
-      }
-    }
-  }
+/// The request of one COMPILE or BATCH payload: the first line is the
+/// flags, the rest the source, labelled "<request>" either way (so a
+/// BATCH item answers, and is keyed, like a COMPILE of the same payload).
+/// \p MaxDeadlineMs tightens, never loosens, the pipeline deadline. False
+/// with the reason on a bad flags line.
+bool requestFromPayload(const std::string &Payload, uint64_t MaxDeadlineMs,
+                        CompileRequest &Req, std::string &Err) {
+  size_t Eol = Payload.find('\n');
+  Req.FileName = "<request>";
+  if (Eol != std::string::npos)
+    Req.Source = Payload.substr(Eol + 1);
+  if (!parseServiceRequestFlags(Payload.substr(0, Eol), Req, Err))
+    return false;
+  uint64_t &Deadline = Req.Driver.DeadlineMs;
+  if (MaxDeadlineMs && (Deadline == 0 || Deadline > MaxDeadlineMs))
+    Deadline = MaxDeadlineMs;
   return true;
 }
+
+} // namespace
 
 //===----------------------------------------------------------------------===//
 // Socket I/O helpers
@@ -508,21 +349,14 @@ bool Server::handleBatch(int Fd, const std::vector<std::string> &Payloads) {
   // single-COMPILE path; well-formed items go to the batch session.
   const size_t N = Payloads.size();
   std::vector<BatchItemResult> Results(N);
-  std::vector<bool> FlagError(N, false);
   std::vector<CompileRequest> Items;
   std::vector<size_t> ItemIndex; // Batch position -> payload position.
   for (size_t I = 0; I != N; ++I) {
-    size_t Eol = Payloads[I].find('\n');
-    std::string FlagsLine =
-        Eol == std::string::npos ? Payloads[I] : Payloads[I].substr(0, Eol);
     CompileRequest Req;
-    Req.FileName = "<batch:" + std::to_string(I) + ">";
-    Req.Source =
-        Eol == std::string::npos ? std::string() : Payloads[I].substr(Eol + 1);
     std::string FlagErr;
-    if (!parseServiceRequestFlags(FlagsLine, Req, FlagErr)) {
+    if (!requestFromPayload(Payloads[I], Opts.RequestDeadlineMs, Req,
+                            FlagErr)) {
       Metrics.add("service.request_flag_errors");
-      FlagError[I] = true;
       Results[I].ExitCode = 2;
       Results[I].Error = "error: " + FlagErr + "\n";
       continue;
@@ -538,7 +372,6 @@ bool Server::handleBatch(int Fd, const std::vector<std::string> &Payloads) {
       BOpts.Jobs = Opts.Threads;
       BOpts.Cache = &Cache;
       BOpts.MaxAttempts = Opts.CompileAttempts;
-      BOpts.RequestDeadlineMs = Opts.RequestDeadlineMs;
       Batch = std::make_unique<BatchSession>(BOpts);
     }
     // Age the cache at the same per-request cadence as single COMPILEs.
@@ -580,17 +413,9 @@ void Server::handleCompile(const std::string &Payload, int &Exit, bool &Hit,
   if (Opts.GenerationEvery && Seq % Opts.GenerationEvery == 0)
     Cache.bumpGeneration();
 
-  size_t Eol = Payload.find('\n');
-  std::string FlagsLine =
-      Eol == std::string::npos ? Payload : Payload.substr(0, Eol);
-  std::string Source =
-      Eol == std::string::npos ? std::string() : Payload.substr(Eol + 1);
-
   CompileRequest Req;
-  Req.FileName = "<request>";
-  Req.Source = Source;
   std::string FlagErr;
-  if (!parseServiceRequestFlags(FlagsLine, Req, FlagErr)) {
+  if (!requestFromPayload(Payload, Opts.RequestDeadlineMs, Req, FlagErr)) {
     Metrics.add("service.request_flag_errors");
     Exit = 2;
     Hit = false;
@@ -598,27 +423,9 @@ void Server::handleCompile(const std::string &Payload, int &Exit, bool &Hit,
     ErrBytes = "error: " + FlagErr + "\n";
     return;
   }
-  if (Opts.RequestDeadlineMs &&
-      (Req.Driver.DeadlineMs == 0 ||
-       Req.Driver.DeadlineMs > Opts.RequestDeadlineMs))
-    Req.Driver.DeadlineMs = Opts.RequestDeadlineMs;
 
-  // Canonical keying needs the parsed program; a parse failure bypasses
-  // the cache (the session re-parses and renders the diagnostics). On a
-  // miss the parse is handed to the session (CompileRequest::PreParsed)
-  // so the source is never parsed twice.
-  bool HaveKey = false;
   RequestKey Key;
-  {
-    auto Diags = std::make_shared<DiagnosticEngine>();
-    std::optional<Program> KeyProg = compileDsl(Req.Source, *Diags);
-    if (KeyProg) {
-      Key = canonicalRequestKey(Req, *KeyProg);
-      HaveKey = true;
-      Req.PreParsed = std::make_shared<const Program>(std::move(*KeyProg));
-      Req.PreParsedDiags = std::move(Diags);
-    }
-  }
+  const bool HaveKey = keyRequest(Req, Key);
   if (HaveKey) {
     DecompositionCache::Entry Cached;
     if (Cache.lookup(Key, Cached)) {
@@ -640,10 +447,10 @@ void Server::handleCompile(const std::string &Payload, int &Exit, bool &Hit,
   SOpts.MaxAttempts = Opts.CompileAttempts;
   SOpts.Observe = TraceContext{nullptr, &Metrics};
   Supervisor Sup(nullptr, nullptr, SOpts);
-  CaptureResult R;
+  CompileResult R;
   std::vector<SupervisedOutcome> Outcomes =
       Sup.run(1, [&](size_t, ResourceBudget *) -> Status {
-        R = runSessionCaptured(Req);
+        R = CompileSession::compile(Req);
         return Status::ok();
       });
   if (!Outcomes.empty() && Outcomes[0].degraded()) {
@@ -655,8 +462,8 @@ void Server::handleCompile(const std::string &Payload, int &Exit, bool &Hit,
     return;
   }
   Exit = R.ExitCode;
-  OutBytes = R.Out;
-  ErrBytes = R.Err;
+  OutBytes = std::move(R.Out);
+  ErrBytes = std::move(R.Err);
   if (Exit == 4)
     Metrics.add("service.compile_degraded");
 

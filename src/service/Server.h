@@ -20,15 +20,18 @@
 ///   SHUTDOWN                 -> BYE (server drains and exits)
 ///   anything else            -> ERR <message> (connection closes)
 ///
-/// A COMPILE payload is one flags line (the semantic alpc flags, e.g.
-/// "--spmd --machine=touchstone --procs=64") followed by '\n' and the DSL
-/// source text. Requests whose source parses are keyed canonically
+/// A COMPILE payload is one flags line (the request options of
+/// core/CompileOptions.h, e.g. "--spmd --machine=touchstone --procs=64")
+/// followed by '\n' and the DSL source text, labelled "<request>" in
+/// diagnostics. Requests whose source parses are keyed canonically
 /// (DecompositionCache.h) and answered from cache on repeats; parse
 /// failures bypass the cache. Connections may issue any number of
 /// commands.
 ///
-/// BATCH payloads have the same shape as COMPILE payloads. The batch runs
-/// through the same BatchSession API as `alpc --batch` (service/Batch.h):
+/// BATCH payloads have the same shape and label as COMPILE payloads, so
+/// an item answers byte for byte like a COMPILE of the same payload and
+/// shares its cache entry. The batch runs through the same BatchSession
+/// API as `alpc --batch` (service/Batch.h):
 /// items are pre-keyed, deduplicated, served from the shared cache where
 /// possible, and compiled on the server's persistent batch pool with warm
 /// per-worker arena reuse. A dedup or cache serve replies "hit". The
@@ -66,10 +69,13 @@ namespace alp {
 class BatchSession;
 struct CompileRequest;
 
-/// Parses a service request's flags line (the semantic subset of alpc's
-/// table — everything except the CLI-only --trace/--stats/--failpoints/
-/// --help) into \p Req. On failure returns false with the reason in
-/// \p Err. Exposed for the service tests.
+/// Parses a service request's flags line into \p Req: the space-separated
+/// request options of core/CompileOptions.h, the table alpc's request
+/// flags come from, with the same names and value grammar. alpc's
+/// CLI-only flags (--trace, --stats, --failpoints, --batch,
+/// --batch-report, --help) and operands are errors. On failure returns
+/// false with the reason in \p Err: the one-line message alpc prints for
+/// the same flag.
 bool parseServiceRequestFlags(const std::string &Line, CompileRequest &Req,
                               std::string &Err);
 

@@ -45,21 +45,21 @@ void alp::printHelp(const CliParser &P) {
                 F.Help);
 }
 
-CliAction alp::parseCommandLine(const CliParser &P, int argc, char **argv,
-                                std::vector<std::string> &Positionals) {
-  for (int I = 1; I != argc; ++I) {
-    std::string A = argv[I];
-    if (A == "--help" || A == "-h") {
-      printHelp(P);
-      return CliAction::ExitSuccess;
+std::string alp::parseFlags(const std::vector<FlagSpec> &Table,
+                            const std::vector<std::string> &Args,
+                            std::vector<std::string> *Operands, bool *Help) {
+  for (size_t I = 0; I != Args.size(); ++I) {
+    const std::string &A = Args[I];
+    if (Help && (A == "--help" || A == "-h")) {
+      *Help = true;
+      return "";
     }
     if (A.rfind("--", 0) != 0) {
-      if (!A.empty() && A[0] == '-') {
-        std::fprintf(stderr, "unknown option '%s'\n", A.c_str());
-        printUsage(P);
-        return CliAction::ExitUsage;
-      }
-      Positionals.push_back(A);
+      if (!Operands)
+        return "unexpected operand '" + A + "'";
+      if (!A.empty() && A[0] == '-')
+        return "unknown option '" + A + "'";
+      Operands->push_back(A);
       continue;
     }
     std::string Name = A, Value;
@@ -70,36 +70,41 @@ CliAction alp::parseCommandLine(const CliParser &P, int argc, char **argv,
       HasValue = true;
     }
     const FlagSpec *Spec = nullptr;
-    for (const FlagSpec &F : P.Table)
+    for (const FlagSpec &F : Table)
       if (Name == F.Name) {
         Spec = &F;
         break;
       }
-    if (!Spec) {
-      std::fprintf(stderr, "unknown option '%s'\n", Name.c_str());
-      printUsage(P);
-      return CliAction::ExitUsage;
-    }
+    if (!Spec)
+      return "unknown option '" + Name + "'";
     if (!Spec->Arg) {
-      if (HasValue) {
-        std::fprintf(stderr, "option '%s' takes no value\n", Name.c_str());
-        printUsage(P);
-        return CliAction::ExitUsage;
-      }
+      if (HasValue)
+        return "option '" + Name + "' takes no value";
     } else if (!HasValue) {
-      if (I + 1 == argc) {
-        std::fprintf(stderr, "option '%s' requires a value\n", Name.c_str());
-        printUsage(P);
-        return CliAction::ExitUsage;
-      }
-      Value = argv[++I];
+      if (I + 1 == Args.size())
+        return "option '" + Name + "' requires a value";
+      Value = Args[++I];
     }
-    if (!Spec->Apply(Value)) {
-      std::fprintf(stderr, "invalid value '%s' for option '%s'\n",
-                   Value.c_str(), Name.c_str());
-      printUsage(P);
-      return CliAction::ExitUsage;
-    }
+    if (!Spec->Apply(Value))
+      return "invalid value '" + Value + "' for option '" + Name + "'";
+  }
+  return "";
+}
+
+CliAction alp::parseCommandLine(const CliParser &P, int argc, char **argv,
+                                std::vector<std::string> &Positionals) {
+  bool Help = false;
+  std::string Err = parseFlags(P.Table,
+                               std::vector<std::string>(argv + 1, argv + argc),
+                               &Positionals, &Help);
+  if (!Err.empty()) {
+    std::fprintf(stderr, "%s\n", Err.c_str());
+    printUsage(P);
+    return CliAction::ExitUsage;
+  }
+  if (Help) {
+    printHelp(P);
+    return CliAction::ExitSuccess;
   }
   return CliAction::Proceed;
 }

@@ -5,7 +5,9 @@
 /// to a library so every executable (alpc, alp_fuzz, alp_chaos, alpd, the
 /// bench harnesses) parses the same way: one FlagSpec table drives
 /// parsing, --help generation, and unknown-flag errors. Every value-taking
-/// flag accepts both "--flag=value" and "--flag value".
+/// flag accepts both "--flag=value" and "--flag value". alpd's request
+/// lines go through the same walk (parseFlags), which returns its error
+/// as a string instead of printing it.
 ///
 /// A tool declares its table and calls parseCommandLine:
 ///
@@ -67,11 +69,22 @@ enum class CliAction {
   ExitUsage,   ///< Parse error; message + usage already on stderr; exit 2.
 };
 
-/// Walks argv, applying table flags in order. Arguments that do not start
-/// with "--" and are not "-h" are appended to \p Positionals, except that
-/// any other argument starting with '-' is an unknown-option error.
-/// "--help"/"-h" prints help and returns ExitSuccess at the point it is
-/// seen (earlier errors still win).
+/// The one flag walk: applies \p Table to \p Args in order and returns the
+/// first error as a one-line message ("" on success); the walk stops
+/// there. With \p Operands, arguments that do not start with '-' are
+/// collected into it (any other argument starting with '-' is an unknown
+/// option); without it they are errors. With \p Help, "--help"/"-h" stop
+/// the walk and set it; without it they are unknown, like any flag
+/// missing from the table.
+std::string parseFlags(const std::vector<FlagSpec> &Table,
+                       const std::vector<std::string> &Args,
+                       std::vector<std::string> *Operands = nullptr,
+                       bool *Help = nullptr);
+
+/// parseFlags over argv, reporting to the terminal: an error goes to
+/// stderr with the usage hint (ExitUsage), "--help"/"-h" prints help
+/// (ExitSuccess; earlier errors still win), and operands are appended to
+/// \p Positionals.
 CliAction parseCommandLine(const CliParser &P, int argc, char **argv,
                            std::vector<std::string> &Positionals);
 

@@ -5,8 +5,9 @@
 // aggregate report are pure functions of the request list and the prior
 // cache contents — byte-identical for every Jobs value; duplicate items
 // dedup against their in-batch representative; a shared DecompositionCache
-// turns a repeated run into pure cache hits; and parse failures compile
-// individually (diagnostics intact) without poisoning the cache.
+// turns a repeated run into pure cache hits; and neither parse failures
+// (which compile individually, diagnostics intact) nor supervised
+// failures poison the cache.
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,6 +15,7 @@
 
 #include "gen/Generator.h"
 #include "service/DecompositionCache.h"
+#include "support/FailPoint.h"
 
 #include <gtest/gtest.h>
 
@@ -40,9 +42,9 @@ std::vector<CompileRequest> mixedBatch() {
     gen::GeneratedProgram G = gen::generateProgram(11, I);
     Items.push_back(requestFor(G.FileName, G.Source));
   }
-  // A byte-identical duplicate of item 0, later in the list: must be
-  // served as a dedup hit of that representative.
-  Items.push_back(requestFor("dup_of_first.alp", Items[0].Source));
+  // A duplicate of item 0 (same label, same source) later in the list:
+  // must be served as a dedup hit of that representative.
+  Items.push_back(requestFor(Items[0].FileName, Items[0].Source));
   // A parse failure: no canonical key, compiles individually.
   Items.push_back(requestFor("broken.alp", "program broken;\nthis is not"));
   return Items;
@@ -56,7 +58,7 @@ TEST(BatchTest, ItemsMatchSingleShotByteForByte) {
   std::vector<BatchItemResult> Res = Session.run(Items);
   ASSERT_EQ(Res.size(), Items.size());
   for (size_t I = 0; I != Items.size(); ++I) {
-    CaptureResult Single = runSessionCaptured(Items[I]);
+    CompileResult Single = CompileSession::compile(Items[I]);
     EXPECT_EQ(Res[I].ExitCode, Single.ExitCode) << Items[I].FileName;
     EXPECT_EQ(Res[I].Output, Single.Out) << Items[I].FileName;
     EXPECT_EQ(Res[I].Error, Single.Err) << Items[I].FileName;
@@ -140,6 +142,31 @@ TEST(BatchTest, ParseFailureKeepsItsDiagnostics) {
   EXPECT_NE(Res[0].Error.find("broken.alp"), std::string::npos)
       << Res[0].Error;
   EXPECT_EQ(Session.metrics().counter("batch.failures"), 1u);
+}
+
+TEST(BatchTest, SupervisedFailureIsNotCached) {
+  // A supervised failure is an accident of one run: it answers exit 3,
+  // but the next run of the same item must compile fresh, not replay it.
+  gen::GeneratedProgram G = gen::generateProgram(21, 1);
+  std::vector<CompileRequest> Items = {requestFor(G.FileName, G.Source)};
+  DecompositionCache Cache;
+  BatchOptions Opts;
+  Opts.Cache = &Cache;
+  BatchSession Session(Opts);
+
+  FailPointRegistry &Registry = FailPointRegistry::instance();
+  ASSERT_TRUE(Registry.configure("driver.task:throw:1").isOk());
+  std::vector<BatchItemResult> Faulted = Session.run(Items);
+  Registry.reset();
+  ASSERT_EQ(Faulted.size(), 1u);
+  EXPECT_EQ(Faulted[0].ExitCode, 3);
+  EXPECT_EQ(Faulted[0].Error.rfind("error: service: ", 0), 0u)
+      << Faulted[0].Error;
+
+  std::vector<BatchItemResult> Clean = Session.run(Items);
+  ASSERT_EQ(Clean.size(), 1u);
+  EXPECT_FALSE(Clean[0].CacheHit);
+  EXPECT_EQ(Clean[0].ExitCode, 0) << Clean[0].Error;
 }
 
 TEST(BatchTest, ReportAccumulatesAcrossRuns) {

@@ -1,10 +1,10 @@
 //===- tests/CompileSessionTest.cpp - CLI-vs-library equivalence ----------===//
 //
-// The CompileSession contract (core/CompileSession.h): run(Req, Out, Err)
-// writes to its two streams exactly the bytes the alpc CLI writes to
-// stdout/stderr for the same selections, and returns the CLI exit code.
-// These tests hold the library against the real binary over the shipped
-// program corpus, so the extraction can never silently drift from the CLI.
+// The CompileSession contract (core/CompileSession.h): compile(Req)
+// returns exactly the bytes the alpc CLI writes to stdout/stderr for the
+// same selections, and the CLI exit code. These tests hold the library
+// against the real binary over the shipped program corpus, so the
+// extraction can never silently drift from the CLI.
 //
 //===----------------------------------------------------------------------===//
 
@@ -65,30 +65,6 @@ CliRun runCli(const std::string &File, const std::string &Flags) {
   return R;
 }
 
-struct LibRun {
-  CompileResult Result;
-  std::string Out;
-  std::string Err;
-};
-
-/// Runs the library pipeline for \p Req with open_memstream capture — the
-/// exact mechanism the alpd service uses.
-LibRun runLib(const CompileRequest &Req) {
-  LibRun R;
-  char *OutBuf = nullptr, *ErrBuf = nullptr;
-  size_t OutLen = 0, ErrLen = 0;
-  std::FILE *Out = open_memstream(&OutBuf, &OutLen);
-  std::FILE *Err = open_memstream(&ErrBuf, &ErrLen);
-  R.Result = CompileSession::run(Req, Out, Err);
-  std::fclose(Out);
-  std::fclose(Err);
-  R.Out.assign(OutBuf, OutLen);
-  R.Err.assign(ErrBuf, ErrLen);
-  std::free(OutBuf);
-  std::free(ErrBuf);
-  return R;
-}
-
 CompileRequest requestFor(const std::string &Path) {
   CompileRequest Req;
   Req.FileName = Path;
@@ -113,10 +89,20 @@ void expectCliMatchesLibrary(const std::string &Path, const std::string &Flags,
                              const CompileRequest &Req) {
   SCOPED_TRACE(Path + " " + Flags);
   CliRun Cli = runCli(Path, Flags);
-  LibRun Lib = runLib(Req);
-  EXPECT_EQ(Cli.ExitCode, Lib.Result.ExitCode);
+  CompileResult Lib = CompileSession::compile(Req);
+  EXPECT_EQ(Cli.ExitCode, Lib.ExitCode);
   EXPECT_EQ(Cli.Out, Lib.Out);
   EXPECT_EQ(Cli.Err, Lib.Err);
+}
+
+/// Everything written to \p F so far.
+std::string contentsOf(std::FILE *F) {
+  std::string S;
+  std::rewind(F);
+  char Buf[4096];
+  for (size_t N; (N = std::fread(Buf, 1, sizeof(Buf), F)) > 0;)
+    S.append(Buf, N);
+  return S;
 }
 
 TEST(CompileSessionTest, DefaultPipelineMatchesCliOnCorpus) {
@@ -144,9 +130,9 @@ TEST(CompileSessionTest, RepeatRunsAreByteIdentical) {
   CompileRequest Req =
       requestFor(std::string(ALP_EXAMPLES_DIR) + "/jacobi.alp");
   Req.DoSpmd = true;
-  LibRun A = runLib(Req);
-  LibRun B = runLib(Req);
-  EXPECT_EQ(A.Result.ExitCode, B.Result.ExitCode);
+  CompileResult A = CompileSession::compile(Req);
+  CompileResult B = CompileSession::compile(Req);
+  EXPECT_EQ(A.ExitCode, B.ExitCode);
   EXPECT_EQ(A.Out, B.Out);
   EXPECT_EQ(A.Err, B.Err);
 }
@@ -155,20 +141,20 @@ TEST(CompileSessionTest, ParseFailureIsExitOneWithDiagnostics) {
   CompileRequest Req;
   Req.FileName = "<broken>";
   Req.Source = "program broken; for i = 0 to {";
-  LibRun R = runLib(Req);
-  EXPECT_EQ(R.Result.ExitCode, 1);
+  CompileResult R = CompileSession::compile(Req);
+  EXPECT_EQ(R.ExitCode, 1);
   EXPECT_FALSE(R.Err.empty());
-  EXPECT_FALSE(R.Result.Decomposition.has_value());
+  EXPECT_FALSE(R.Decomposition.has_value());
 }
 
 TEST(CompileSessionTest, StatsArtifactCarriesSchemaHeader) {
   CompileRequest Req =
       requestFor(std::string(ALP_EXAMPLES_DIR) + "/jacobi.alp");
   Req.WantStats = true;
-  LibRun R = runLib(Req);
-  EXPECT_EQ(R.Result.ExitCode, 0);
-  ASSERT_TRUE(R.Result.Artifacts.HasStats);
-  EXPECT_NE(R.Result.Artifacts.StatsJson.find("\"schema_version\": 2"),
+  CompileResult R = CompileSession::compile(Req);
+  EXPECT_EQ(R.ExitCode, 0);
+  ASSERT_TRUE(R.Artifacts.HasStats);
+  EXPECT_NE(R.Artifacts.StatsJson.find("\"schema_version\": 2"),
             std::string::npos);
 }
 
@@ -176,13 +162,45 @@ TEST(CompileSessionTest, StructuredResultCarriesDecomposition) {
   CompileRequest Req =
       requestFor(std::string(ALP_TESTDATA_DIR) + "/fig1.alp");
   Req.DoSpmd = true;
-  LibRun R = runLib(Req);
-  EXPECT_EQ(R.Result.ExitCode, 0);
-  ASSERT_TRUE(R.Result.Decomposition.has_value());
-  EXPECT_FALSE(R.Result.DecompositionReport.empty());
-  EXPECT_FALSE(R.Result.SpmdText.empty());
-  // The stream carries exactly what the structured result carries.
-  EXPECT_NE(R.Out.find(R.Result.DecompositionReport), std::string::npos);
+  CompileResult R = CompileSession::compile(Req);
+  EXPECT_EQ(R.ExitCode, 0);
+  ASSERT_TRUE(R.Decomposition.has_value());
+  EXPECT_FALSE(R.DecompositionReport.empty());
+  EXPECT_FALSE(R.SpmdText.empty());
+  // The bytes carry exactly what the structured result carries.
+  EXPECT_NE(R.Out.find(R.DecompositionReport), std::string::npos);
+}
+
+TEST(CompileSessionTest, RunWritesTheCompileBytes) {
+  // A degraded run has bytes on both streams.
+  CompileRequest Req =
+      requestFor(std::string(ALP_TESTDATA_DIR) + "/matmul.alp");
+  Req.DoSpmd = true;
+  Req.Driver.Budget.MaxEliminationSteps = 4;
+  Req.Driver.Budget.MaxSolverIterations = 4;
+  Req.Driver.Budget.MaxFMConstraints = 16;
+  std::FILE *Out = std::tmpfile();
+  std::FILE *Err = std::tmpfile();
+  ASSERT_TRUE(Out && Err);
+  CompileResult R = CompileSession::run(Req, Out, Err);
+  EXPECT_EQ(R.ExitCode, 4);
+  EXPECT_EQ(contentsOf(Out), CompileSession::compile(Req).Out);
+  EXPECT_EQ(contentsOf(Err), R.Err);
+  EXPECT_FALSE(R.Err.empty());
+  std::fclose(Out);
+  std::fclose(Err);
+}
+
+TEST(CompileSessionTest, CliStatsToStdoutComeLast) {
+  const std::string Path = std::string(ALP_EXAMPLES_DIR) + "/jacobi.alp";
+  CompileRequest Req = requestFor(Path);
+  Req.DoSpmd = true;
+  CliRun Cli = runCli(Path, "--spmd --stats=-");
+  CompileResult Lib = CompileSession::compile(Req);
+  ASSERT_EQ(Cli.Out.rfind(Lib.Out, 0), 0u) << Cli.Out;
+  std::string Stats = Cli.Out.substr(Lib.Out.size());
+  EXPECT_EQ(Stats.rfind("{", 0), 0u) << Stats;
+  EXPECT_NE(Stats.find("\"schema_version\": 2"), std::string::npos);
 }
 
 } // namespace

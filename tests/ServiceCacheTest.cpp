@@ -196,29 +196,108 @@ TEST(ServiceCacheTest, LoadFailpointDegradesToRecompute) {
 }
 
 TEST(ServiceCacheTest, CanonicalKeyIsStableAcrossWhitespace) {
+  // Layout that moves no token (trailing blanks, a comment after a line's
+  // last token, blank lines at the end) leaves every printed position, so
+  // the key, unchanged.
   const char *SourceA = "program p;\n"
                         "param N = 7;\n"
                         "array X[N + 1];\n"
                         "for i = 0 to N { X[i] += 1; }\n";
-  const char *SourceB = "program p;\n"
-                        "param N = 7;\n"
+  const char *SourceB = "program p;   \n"
+                        "param N = 7; // problem size\n"
                         "array X[N + 1];\n"
-                        "for i = 0 to N {\n  X[i] += 1;\n}\n";
+                        "for i = 0 to N { X[i] += 1; }\n\n\n";
   DiagnosticEngine DiagsA, DiagsB;
   auto PA = compileDsl(SourceA, DiagsA);
   auto PB = compileDsl(SourceB, DiagsB);
   ASSERT_TRUE(PA && PB);
 
   CompileRequest Req;
-  Req.Source = SourceA; // excluded from the key on purpose
+  Req.Source = SourceA; // keyed through its parse only
   RequestKey KA = canonicalRequestKey(Req, *PA);
   Req.Source = SourceB;
   RequestKey KB = canonicalRequestKey(Req, *PB);
   EXPECT_EQ(KA, KB);
 
-  // Any semantic option flips the key.
+  // Any semantic option flips the key, and so does another label.
   Req.Procs += 1;
   EXPECT_NE(canonicalRequestKey(Req, *PB), KA);
+  Req.Procs -= 1;
+  Req.FileName = "other.alp";
+  EXPECT_NE(canonicalRequestKey(Req, *PB), KA);
+}
+
+/// The program of testdata/lint/race.alp: --lint reports the race at the
+/// forall ("4:1: error: forall loop 'i' ...").
+const char *const RaceSource = "program race;\n"
+                               "param N = 63;\n"
+                               "array A[N + 1];\n"
+                               "forall i = 1 to N { A[i] = f(A[i - 1]); }\n";
+
+/// The key the service forms for \p Req, whose source must parse.
+RequestKey serviceKey(CompileRequest Req) {
+  RequestKey K;
+  EXPECT_TRUE(keyRequest(Req, K)) << Req.Source;
+  return K;
+}
+
+/// Everything a compile of \p Req answers.
+std::string answerOf(const CompileRequest &Req) {
+  CompileResult R = CompileSession::compile(Req);
+  return std::to_string(R.ExitCode) + "\n" + R.Out + R.Err;
+}
+
+TEST(ServiceCacheTest, KeyCoversSourcePositions) {
+  // One blank line moves every position --lint prints.
+  CompileRequest A;
+  A.DoLint = true;
+  A.Source = RaceSource;
+  CompileRequest B = A;
+  B.Source = std::string("\n") + RaceSource;
+  ASSERT_NE(answerOf(A), answerOf(B));
+  EXPECT_NE(serviceKey(A), serviceKey(B));
+}
+
+TEST(ServiceCacheTest, KeyCoversTheRequestLabel) {
+  // JSON diagnostics name the label as the "file".
+  CompileRequest A;
+  A.DoLint = true;
+  A.Format = DiagFormat::Json;
+  A.Source = RaceSource;
+  A.FileName = "<request>";
+  CompileRequest B = A;
+  B.FileName = "<batch:0>";
+  ASSERT_NE(answerOf(A), answerOf(B));
+  EXPECT_NE(serviceKey(A), serviceKey(B));
+}
+
+TEST(ServiceCacheTest, KeyCoversWhatTheIrTextLeavesOut) {
+  // printProgram shows neither a statement's @cost nor whether a
+  // structure loop was written forall (the frontend warns about it), yet
+  // the simulation and the warning print them.
+  const std::string Costly = "program c;\n"
+                             "param N = 31;\n"
+                             "array X[N + 1];\n"
+                             "forall i = 0 to N { X[i] = f(X[i]) @cost(2); }\n";
+  CompileRequest A;
+  A.DoSim = true;
+  A.Procs = 4;
+  A.Source = Costly;
+  CompileRequest B = A;
+  B.Source = Costly.substr(0, Costly.find("@cost(2)")) + "@cost(9); }\n";
+  ASSERT_NE(answerOf(A), answerOf(B));
+  EXPECT_NE(serviceKey(A), serviceKey(B));
+
+  const std::string Nests = " t = 1 to 2 {\n"
+                            "  forall i = 0 to N { X[i] = f(X[i]); }\n"
+                            "  forall i = 0 to N { X[i] = f(X[i]); }\n"
+                            "}\n";
+  CompileRequest C;
+  C.Source = "program s;\nparam N = 31;\narray X[N + 1];\nfor" + Nests;
+  CompileRequest D = C;
+  D.Source = "program s;\nparam N = 31;\narray X[N + 1];\nforall" + Nests;
+  ASSERT_NE(answerOf(C), answerOf(D));
+  EXPECT_NE(serviceKey(C), serviceKey(D));
 }
 
 TEST(ServiceCacheTest, ConcurrentHitMissInsertAge) {

@@ -4,9 +4,11 @@
 //
 //   alpc <file.alp> [options]
 //
-// Options are declared in a single table (support/CliFlags.h) that drives
-// parsing, --help generation, and unknown-flag errors. Every value-taking
-// flag accepts both "--flag=value" and "--flag value".
+// The request flags come from the one option table that alpd's request
+// lines and the cache key share (core/CompileOptions.h); this file adds
+// only the CLI-only flags. support/CliFlags.h drives parsing, --help
+// generation, and unknown-flag errors. Every value-taking flag accepts
+// both "--flag=value" and "--flag value".
 //
 // The pipeline itself lives in core/CompileSession.h; this file is flag
 // parsing, source ingestion, one CompileSession::run call, and the
@@ -16,8 +18,8 @@
 // (sorted, non-recursive) through the service-layer BatchSession
 // (service/Batch.h) — shared-cache dedup, one persistent worker pool
 // with warm per-worker arena reuse, and a jobs-deterministic aggregate
-// report (--batch-report=<file>, '-' for stdout). The semantic flags
-// above apply to every item. Batch exit code: 1 if any item failed
+// report (--batch-report=<file>, '-' for stdout). The request flags
+// apply to every item. Batch exit code: 1 if any item failed
 // (exit 1/2/3), else 4 if any degraded, else 0.
 //
 // Observability: --trace=<file> writes a Chrome trace-event JSON of the
@@ -39,6 +41,7 @@
 #include "alp.h"
 
 #include "analysis/Lint.h"
+#include "core/CompileOptions.h"
 #include "core/CompileSession.h"
 #include "service/Batch.h"
 #include "service/DecompositionCache.h"
@@ -48,6 +51,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -152,216 +156,55 @@ int main(int argc, char **argv) {
     return 2;
   }
   CompileRequest Req;
-  DriverOptions &Opts = Req.Driver;
-  std::string LintPassesSpec;
   std::string TracePath, StatsPath;
   std::string BatchDir, BatchReportPath;
 
-  auto BoolFlag = [](bool &Target, bool Value) {
-    return [&Target, Value](const std::string &) {
-      Target = Value;
+  std::vector<FlagSpec> Table = requestFlags(Req);
+  // "--lint-passes=help" is alpc's alone: it lists the registered pass
+  // families and exits.
+  bool ListLintPasses = false;
+  for (FlagSpec &F : Table)
+    if (std::strcmp(F.Name, "--lint-passes") == 0)
+      F.Apply = [&ListLintPasses, Select = F.Apply](const std::string &V) {
+        ListLintPasses = V == "help";
+        return ListLintPasses || Select(V);
+      };
+  auto PathFlag = [](std::string &Target) {
+    return [&Target](const std::string &V) {
+      Target = V;
       return true;
     };
   };
-  auto U64Flag = [](uint64_t &Target) {
-    return [&Target](const std::string &V) { return parseU64(V, Target); };
-  };
-
-  const std::vector<FlagSpec> Table = {
-      {"--no-local-phase", nullptr, "skip Wolf-Lam canonicalization",
-       BoolFlag(Opts.RunLocalPhase, false)},
-      {"--no-blocking", nullptr,
-       "disable blocked (pipelined) decompositions",
-       BoolFlag(Opts.EnableBlocking, false)},
-      {"--no-replication", nullptr, "disable read-only replication",
-       BoolFlag(Opts.EnableReplication, false)},
-      {"--no-projection", nullptr, "disable idle-processor projection",
-       BoolFlag(Opts.EnableIdleProjection, false)},
-      {"--force-single", nullptr, "join every nest into one component",
-       [&](const std::string &) {
-         Opts.Policy = JoinPolicy::ForceSingle;
-         return true;
-       }},
-      {"--never-join", nullptr, "keep every nest in its own component",
-       [&](const std::string &) {
-         Opts.Policy = JoinPolicy::NeverJoin;
-         return true;
-       }},
-      {"--multi-level", nullptr,
-       "decompose the loop-nest hierarchy level by level",
-       BoolFlag(Opts.MultiLevel, true)},
-      {"--fuse", nullptr, "run the loop-fusion post-pass",
-       BoolFlag(Req.DoFuse, true)},
-      {"--spmd", nullptr, "print the generated SPMD pseudo-code",
-       BoolFlag(Req.DoSpmd, true)},
-      {"--emit", "spmd|comm-plan",
-       "codegen backend: 'spmd' prints message-passing SPMD code driven "
-       "by the planned communication schedule; 'comm-plan' prints the "
-       "schedule itself",
-       [&](const std::string &V) {
-         if (V != "spmd" && V != "comm-plan") {
-           std::fprintf(stderr, "unknown emit mode '%s'\n", V.c_str());
-           return false;
-         }
-         Req.EmitMode = V;
-         return true;
-       }},
-      {"--machine", "dash|touchstone",
-       "machine preset: 'dash' (cache-coherent NUMA, default) or "
-       "'touchstone' (message-passing multicomputer)",
-       [&](const std::string &V) {
-         if (V != "dash" && V != "touchstone") {
-           std::fprintf(stderr, "unknown machine '%s'\n", V.c_str());
-           return false;
-         }
-         Req.MachineName = V;
-         return true;
-       }},
-      {"--comm", nullptr, "print the communication analysis",
-       BoolFlag(Req.DoComm, true)},
-      {"--print-ir", nullptr, "print the canonicalized IR",
-       BoolFlag(Req.DoIr, true)},
-      {"--deps", nullptr, "print the dependences of every nest",
-       BoolFlag(Req.DoDeps, true)},
-      {"--lint", nullptr,
-       "run the alp-lint passes (race detector, affine-model lints, and "
-       "the SPMD schedule verifier when the program decomposes) and "
-       "render the diagnostics instead of reporting a decomposition",
-       BoolFlag(Req.DoLint, true)},
-      {"--lint-passes", "list|help",
-       "restrict --lint / --verify to a comma-separated list of pass "
-       "families; 'help' lists the registered pass ids",
-       [&](const std::string &V) {
-         LintPassesSpec = V;
-         return true;
-       }},
-      {"--miscompile", "mode",
-       "test-only: seed one schedule miscompilation so the schedule "
-       "verifier can prove its checkers fire (drop-transfer, "
-       "shrink-aggregation, reorder-recv, reorder-barrier, drop-recv, "
-       "alias-buffer)",
-       [&](const std::string &V) {
-         if (!parseMiscompileMode(V, Req.Miscompile)) {
-           std::fprintf(stderr, "unknown miscompile mode '%s'\n", V.c_str());
-           return false;
-         }
-         return true;
-       }},
-      {"--verify", nullptr,
-       "validate the decomposition (Theorem 4.1 invariants + SPMD "
-       "communication coverage)",
-       BoolFlag(Req.DoVerify, true)},
-      {"--Werror", nullptr, "treat lint/verify warnings as errors",
-       BoolFlag(Req.WError, true)},
-      {"--diagnostics-format", "text|json|sarif",
-       "how --lint / --verify diagnostics are rendered",
-       [&](const std::string &V) {
-         if (V == "text")
-           Req.Format = DiagFormat::Text;
-         else if (V == "json")
-           Req.Format = DiagFormat::Json;
-         else if (V == "sarif")
-           Req.Format = DiagFormat::Sarif;
-         else {
-           std::fprintf(stderr, "unknown diagnostics format '%s'\n",
-                        V.c_str());
-           return false;
-         }
-         return true;
-       }},
-      {"--simulate", nullptr, "simulate on the NUMA machine (1..procs)",
-       BoolFlag(Req.DoSim, true)},
-      {"--procs", "N", "machine size for --simulate (default 32)",
-       [&](const std::string &V) {
-         uint64_t U;
-         if (!parseU64(V, U))
-           return false;
-         Req.Procs = static_cast<unsigned>(U);
-         return true;
-       }},
-      {"--block", "N", "pipeline block size (default 4)",
-       [&](const std::string &V) {
-         uint64_t U;
-         if (!parseU64(V, U))
-           return false;
-         Req.Block = static_cast<int64_t>(U);
-         return true;
-       }},
-      {"--max-fm", "N",
-       "cap live Fourier-Motzkin constraints (0 = off)",
-       U64Flag(Opts.Budget.MaxFMConstraints)},
-      {"--max-steps", "N", "cap FM elimination steps (0 = off)",
-       U64Flag(Opts.Budget.MaxEliminationSteps)},
-      {"--max-iters", "N", "cap solver fixpoint iterations (0 = off)",
-       U64Flag(Opts.Budget.MaxSolverIterations)},
-      {"--deadline-ms", "N",
-       "wall-clock budget for the pipeline (0 = off)",
-       U64Flag(Opts.DeadlineMs)},
-      {"--jobs", "N",
-       "analysis worker threads (0 = all hardware threads); output is "
-       "identical for every value",
-       [&](const std::string &V) {
-         uint64_t U;
-         if (!parseU64(V, U))
-           return false;
-         Opts.Jobs = static_cast<unsigned>(U);
-         return true;
-       }},
-      {"--failpoints", "site:mode[:count[:delay_ms]],...",
-       "arm deterministic fault-injection sites (modes: throw, oom, "
-       "status-error, budget-exhaust, delay; see docs/ROBUSTNESS.md)",
-       [&](const std::string &V) {
-         Status S = FailPointRegistry::instance().configureList(V);
-         if (!S.isOk()) {
-           std::fprintf(stderr, "error: --failpoints: %s\n",
-                        S.str().c_str());
-           return false;
-         }
-         return true;
-       }},
-      {"--task-retries", "N",
-       "extra attempts per parallel task on a shrunken budget before it "
-       "degrades to its stage's conservative fallback (default 1)",
-       [&](const std::string &V) {
-         uint64_t U;
-         if (!parseU64(V, U))
-           return false;
-         Opts.TaskAttempts = static_cast<unsigned>(U) + 1;
-         return true;
-       }},
-      {"--task-deadline-ms", "N",
-       "per-attempt wall-clock deadline for each parallel task (0 = off; "
-       "an armed task deadline trades --jobs determinism for boundedness)",
-       U64Flag(Opts.TaskDeadlineMs)},
-      {"--trace", "file",
-       "write a Chrome trace-event JSON of the pipeline's spans",
-       [&](const std::string &V) {
-         TracePath = V;
-         return true;
-       }},
-      {"--stats", "file",
-       "write the versioned stats JSON (counters / gauges / span "
-       "aggregates); '-' writes to stdout",
-       [&](const std::string &V) {
-         StatsPath = V;
-         return true;
-       }},
-      {"--batch", "dir",
-       "compile every *.alp file under <dir> (sorted) as one batch: "
-       "shared-cache dedup, warm per-worker arena reuse, and a "
-       "jobs-deterministic aggregate report",
-       [&](const std::string &V) {
-         BatchDir = V;
-         return true;
-       }},
-      {"--batch-report", "file",
-       "write the batch aggregate stats JSON (schema v2, kind 'batch'); "
-       "'-' writes to stdout",
-       [&](const std::string &V) {
-         BatchReportPath = V;
-         return true;
-       }},
-  };
+  Table.insert(
+      Table.end(),
+      {{"--failpoints", "site:mode[:count[:delay_ms]],...",
+        "arm deterministic fault-injection sites (modes: throw, oom, "
+        "status-error, budget-exhaust, delay; see docs/ROBUSTNESS.md)",
+        [](const std::string &V) {
+          Status S = FailPointRegistry::instance().configureList(V);
+          if (!S.isOk()) {
+            std::fprintf(stderr, "error: --failpoints: %s\n",
+                         S.str().c_str());
+            return false;
+          }
+          return true;
+        }},
+       {"--trace", "file",
+        "write a Chrome trace-event JSON of the pipeline's spans",
+        PathFlag(TracePath)},
+       {"--stats", "file",
+        "write the versioned stats JSON (counters / gauges / span "
+        "aggregates); '-' writes to stdout",
+        PathFlag(StatsPath)},
+       {"--batch", "dir",
+        "compile every *.alp file under <dir> (sorted) as one batch: "
+        "shared-cache dedup, warm per-worker arena reuse, and a "
+        "jobs-deterministic aggregate report",
+        PathFlag(BatchDir)},
+       {"--batch-report", "file",
+        "write the batch aggregate stats JSON (schema v2, kind 'batch'); "
+        "'-' writes to stdout",
+        PathFlag(BatchReportPath)}});
 
   const CliParser Cli{argv[0],
                       "<file.alp> [options]",
@@ -381,40 +224,12 @@ int main(int argc, char **argv) {
   case CliAction::ExitUsage:
     return 2;
   }
-  // Pass-family selection (--lint-passes). "help" lists the registry and
-  // exits; otherwise the comma-separated ids gate the Check* options so
-  // the fuzzer / chaos tool can isolate a single checker.
-  if (!LintPassesSpec.empty()) {
-    if (LintPassesSpec == "help") {
-      std::printf("registered lint pass families:\n");
-      for (const std::unique_ptr<LintPass> &Pass :
-           createLintPasses(LintOptions()))
-        std::printf("  %-10s %s\n", Pass->id(), Pass->description());
-      return 0;
-    }
-    Req.LintPassesExplicit = true;
-    Req.SelRace = Req.SelModel = Req.SelDecomp = Req.SelSchedule = false;
-    std::string Spec = LintPassesSpec;
-    while (!Spec.empty()) {
-      size_t Comma = Spec.find(',');
-      std::string Id = Spec.substr(0, Comma);
-      Spec = Comma == std::string::npos ? "" : Spec.substr(Comma + 1);
-      if (Id == "race")
-        Req.SelRace = true;
-      else if (Id == "model")
-        Req.SelModel = true;
-      else if (Id == "decomp")
-        Req.SelDecomp = true;
-      else if (Id == "schedule")
-        Req.SelSchedule = true;
-      else {
-        std::fprintf(stderr,
-                     "unknown lint pass '%s' (see --lint-passes=help)\n",
-                     Id.c_str());
-        printUsage(Cli);
-        return 2;
-      }
-    }
+  if (ListLintPasses) {
+    std::printf("registered lint pass families:\n");
+    for (const std::unique_ptr<LintPass> &Pass :
+         createLintPasses(LintOptions()))
+      std::printf("  %-10s %s\n", Pass->id(), Pass->description());
+    return 0;
   }
 
   if (!BatchDir.empty()) {
@@ -459,27 +274,31 @@ int main(int argc, char **argv) {
   Req.WantStats = !StatsPath.empty();
   // Artifacts land via temp-file + atomic rename (support/AtomicFile.h),
   // so a reader never observes a truncated file. Returning false maps to
-  // exit 1 on otherwise-successful runs.
+  // exit 1 on otherwise-successful runs. The writer runs inside the
+  // pipeline, before run() writes the compile's bytes, so what it prints
+  // ("--stats=-", a write error) waits until those are out.
+  std::string StatsOut, WriteError;
   Req.WriteArtifacts = [&](const CompileArtifacts &A) -> bool {
     if (A.HasTrace) {
       if (Status S = writeFileAtomic(TracePath, A.TraceJson); !S.isOk()) {
-        std::fprintf(stderr, "error: cannot write trace file: %s\n",
-                     S.str().c_str());
+        WriteError = "error: cannot write trace file: " + S.str() + "\n";
         return false;
       }
     }
     if (A.HasStats) {
       if (StatsPath == "-") {
-        std::printf("%s", A.StatsJson.c_str());
+        StatsOut = A.StatsJson;
       } else if (Status S = writeFileAtomic(StatsPath, A.StatsJson);
                  !S.isOk()) {
-        std::fprintf(stderr, "error: cannot write stats file: %s\n",
-                     S.str().c_str());
+        WriteError = "error: cannot write stats file: " + S.str() + "\n";
         return false;
       }
     }
     return true;
   };
 
-  return CompileSession::run(Req, stdout, stderr).ExitCode;
+  int Exit = CompileSession::run(Req, stdout, stderr).ExitCode;
+  std::fputs(StatsOut.c_str(), stdout);
+  std::fputs(WriteError.c_str(), stderr);
+  return Exit;
 }
