@@ -23,3 +23,10 @@ alp_add_bench(ext_multicomputer alp_codegen alp_frontend)
 alp_add_bench(perf_comm alp_codegen alp_frontend)
 alp_add_bench(perf_service alp_service)
 alp_add_bench(perf_batch alp_service alp_corpus)
+
+# Figure 7 at the paper's own problem size (1K x 1K, 5 steps): the binary
+# exits nonzero unless all five shape checks hold. It takes ~0.2 s in a
+# Release build and ~2 s in a Debug+ASan one; the timeout leaves room for
+# slower CI machines.
+add_test(NAME fig7_paper_size COMMAND fig7_conduct_speedup 1023 5)
+set_tests_properties(fig7_paper_size PROPERTIES TIMEOUT 120)

@@ -46,14 +46,6 @@ MachineParams dashMachine() {
   return M;
 }
 
-/// Finds the loop positions used by the hand-written strategies.
-struct ConductNests {
-  // Nest ids in program order: prep1, prep2, row sweep, column sweep,
-  // update.
-  unsigned RowSweep = 2;
-  unsigned ColSweep = 3;
-};
-
 /// Strategy 1: "no optimization". Placement lands in blocks of columns
 /// (the paper's Fortran column-major first-touch behaviour); every nest is
 /// parallelized over its outermost parallel loop.
@@ -61,14 +53,12 @@ double runNoOpt(const Program &P, const MachineParams &M, unsigned Procs) {
   NumaSimulator Sim(P, M);
   for (unsigned A = 0; A != P.Arrays.size(); ++A)
     Sim.setStaticPlacement(A, ArrayPlacement::blockedDim(1));
-  ConductNests CN;
   for (const LoopNest &Nest : P.Nests) {
     NestSchedule S;
     S.ExecMode = NestSchedule::Mode::Forall;
     S.DistLoop = Nest.firstParallelLoop();
     Sim.setSchedule(Nest.Id, S);
   }
-  (void)CN;
   return Sim.run(Procs).Cycles;
 }
 

@@ -147,55 +147,38 @@ private:
   std::map<unsigned, NestSchedule> Schedules;
   CommSchedule CommSched;
 
-  struct RunState {
-    unsigned Procs = 1;
-    bool AllLocal = false; ///< Sequential-baseline mode.
-    /// True when a planned CommSchedule drives message-passing costs:
-    /// remote lines move at the hardware rate (the plan's bulk messages
-    /// carry the software overhead) and per-line message counting is off.
-    bool PlannedComm = false;
-    std::map<unsigned, ArrayPlacement> Current;
-    std::map<std::string, Rational> Bindings;
-    SimResult Res;
-  };
+  /// One run's state: bindings, placements and counters, plus the integer
+  /// tables the costing reads (defined in NumaSimulator.cpp).
+  struct RunState;
+  struct AccessTable;
 
-  unsigned clusters() const;
+  RunState startRun(unsigned Procs, bool AllLocal) const;
   unsigned clusterOfProc(unsigned Proc) const;
 
-  /// Cluster holding element \p Index of \p ArrayId under \p Placement.
-  unsigned homeCluster(unsigned ArrayId, const ArrayPlacement &Placement,
-                       const std::vector<int64_t> &Index,
-                       const RunState &S) const;
+  /// Lowers \p Nest's loop bounds and access maps under the current
+  /// bindings into S's integer tables.
+  void lowerNest(const LoopNest &Nest, RunState &S) const;
 
-  /// Cost of a contiguous innermost segment of \p Length accesses with
-  /// the given array-space stride vector, starting at \p Start, issued by
-  /// \p Proc. Updates line/cache counters.
-  double segmentCost(unsigned Proc, unsigned ArrayId,
-                     const std::vector<int64_t> &Start,
-                     const std::vector<int64_t> &StridePerIter,
-                     int64_t Length, RunState &S) const;
+  /// Integer bounds of loop \p Level of the lowered nest given the loop
+  /// indices in \p Outer.
+  std::pair<int64_t, int64_t> loopBounds(unsigned Level, const int64_t *Outer,
+                                         const RunState &S) const;
 
-  /// Cost of executing the iteration sub-range of \p Nest assigned to
-  /// \p Proc where loop \p Level ranges only over [RangeLo, RangeHi].
-  /// Ranges for unmentioned loops come from the bounds.
-  struct LoopRange {
-    unsigned Level;
-    int64_t Lo, Hi;
-  };
-  double chunkCost(unsigned Proc, const LoopNest &Nest,
-                   const std::vector<LoopRange> &Ranges, RunState &S) const;
+  /// Cost of executing the lowered nest's iterations assigned to \p Proc:
+  /// each loop's range is its bounds clamped to S's per-level range.
+  double chunkCost(unsigned Proc, RunState &S) const;
+
+  /// Cost of the contiguous innermost segment of \p Length accesses of
+  /// \p A starting at the current loop indices, issued by \p Proc.
+  /// Updates line/cache counters.
+  double segmentCost(unsigned Proc, AccessTable &A, int64_t Length,
+                     RunState &S) const;
 
   void runNodes(const std::vector<ProgramNode> &Nodes, RunState &S);
   void runNest(unsigned NestId, RunState &S);
   void reorganizeIfNeeded(unsigned NestId, RunState &S);
   /// Planned-mode software cost of the nest's scheduled messages.
   void plannedNestComm(unsigned NestId, RunState &S) const;
-
-  /// Integer bounds of loop \p Level of \p Nest given outer values.
-  std::pair<int64_t, int64_t> loopBounds(const LoopNest &Nest,
-                                         unsigned Level,
-                                         const std::vector<int64_t> &Outer,
-                                         const RunState &S) const;
 };
 
 } // namespace alp
