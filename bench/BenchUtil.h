@@ -6,114 +6,18 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef ALP_BENCH_BENCHUTIL_H
-#define ALP_BENCH_BENCHUTIL_H
+#ifndef ALP_BENCHUTIL_H
+#define ALP_BENCHUTIL_H
 
 #include "core/Driver.h"
 #include "frontend/Lowering.h"
-#include "support/AtomicFile.h"
 #include "support/Diagnostics.h"
 
-#include <algorithm>
-#include <chrono>
-#include <cstdarg>
 #include <cstdio>
 #include <string>
-#include <vector>
 
 namespace alp {
 namespace bench {
-
-/// Wall-time statistics over repeated runs of a workload, in milliseconds.
-struct RepStats {
-  double MeanMs = 0;
-  double P50Ms = 0;
-  double P99Ms = 0;
-  unsigned Reps = 0;
-};
-
-/// Runs \p F \p Reps times (after \p Warmup untimed runs) and reports
-/// mean / median / p99 wall time from steady_clock.
-template <typename Fn>
-RepStats timeReps(unsigned Reps, unsigned Warmup, Fn &&F) {
-  for (unsigned I = 0; I != Warmup; ++I)
-    F();
-  std::vector<double> Ms;
-  Ms.reserve(Reps);
-  for (unsigned I = 0; I != Reps; ++I) {
-    auto T0 = std::chrono::steady_clock::now();
-    F();
-    auto T1 = std::chrono::steady_clock::now();
-    Ms.push_back(std::chrono::duration<double, std::milli>(T1 - T0).count());
-  }
-  std::sort(Ms.begin(), Ms.end());
-  RepStats S;
-  S.Reps = Reps;
-  for (double M : Ms)
-    S.MeanMs += M;
-  S.MeanMs /= Reps;
-  auto Quantile = [&](double Q) {
-    size_t I = static_cast<size_t>(Q * (Ms.size() - 1) + 0.5);
-    return Ms[std::min(I, Ms.size() - 1)];
-  };
-  S.P50Ms = Quantile(0.5);
-  S.P99Ms = Quantile(0.99);
-  return S;
-}
-
-/// printf-style accumulator for a JSON artifact, published in one atomic
-/// rename (support/AtomicFile.h) so a benchmark killed mid-write never
-/// leaves a truncated result file behind.
-class ArtifactWriter {
-public:
-#if defined(__GNUC__)
-  __attribute__((format(printf, 2, 3)))
-#endif
-  void
-  printf(const char *Fmt, ...) {
-    va_list Args;
-    va_start(Args, Fmt);
-    char Stack[512];
-    int N = std::vsnprintf(Stack, sizeof(Stack), Fmt, Args);
-    va_end(Args);
-    if (N < 0)
-      return;
-    if (static_cast<size_t>(N) < sizeof(Stack)) {
-      Buf.append(Stack, static_cast<size_t>(N));
-      return;
-    }
-    std::vector<char> Heap(static_cast<size_t>(N) + 1);
-    va_start(Args, Fmt);
-    std::vsnprintf(Heap.data(), Heap.size(), Fmt, Args);
-    va_end(Args);
-    Buf.append(Heap.data(), static_cast<size_t>(N));
-  }
-
-  /// Writes the accumulated content to \p Path; false (with a message on
-  /// stderr) on failure.
-  bool publish(const char *Path) const {
-    Status S = writeFileAtomic(Path, Buf);
-    if (!S.isOk()) {
-      std::fprintf(stderr, "error: cannot write '%s': %s\n", Path,
-                   S.str().c_str());
-      return false;
-    }
-    return true;
-  }
-
-private:
-  std::string Buf;
-};
-
-/// Renders one RepStats as a JSON object body (no braces).
-inline std::string repStatsJson(const RepStats &S) {
-  char Buf[160];
-  std::snprintf(Buf, sizeof(Buf),
-                "\"mean_ms\": %.6g, \"p50_ms\": %.6g, \"p99_ms\": %.6g, "
-                "\"reps\": %u",
-                S.MeanMs, S.P50Ms, S.P99Ms, S.Reps);
-  return Buf;
-}
 
 inline Program compileOrDie(const std::string &Src) {
   DiagnosticEngine Diags;
@@ -150,29 +54,6 @@ for i1 = 0 to N {
 for i1 = 1 to N {
   for i2 = 1 to N {
     Z[i1, i2] = Z[i1, i2 - 1] + Y[i2, i1 - 1];
-  }
-}
-)";
-}
-
-/// Two-buffer Jacobi relaxation (examples/jacobi.alp, parameterized):
-/// race-free forall sweeps whose only communication is one boundary
-/// layer per neighbor per time step.
-inline std::string jacobiSource(int64_t N, int64_t T) {
-  return R"(
-program jacobi;
-param N = )" + std::to_string(N) + R"(, T = )" + std::to_string(T) + R"(;
-array A[N + 2, N + 2], B[N + 2, N + 2];
-for t = 1 to T {
-  forall i = 1 to N {
-    forall j = 1 to N {
-      B[i, j] = f(A[i - 1, j], A[i + 1, j], A[i, j - 1], A[i, j + 1]) @cost(8);
-    }
-  }
-  forall i = 1 to N {
-    forall j = 1 to N {
-      A[i, j] = B[i, j] @cost(2);
-    }
   }
 }
 )";
@@ -299,4 +180,4 @@ inline void printHeader(const char *Title) {
 } // namespace bench
 } // namespace alp
 
-#endif // ALP_BENCH_BENCHUTIL_H
+#endif // ALP_BENCHUTIL_H

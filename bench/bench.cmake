@@ -14,15 +14,9 @@ alp_add_bench(fig5_dynamic_example alp_machine alp_frontend)
 alp_add_bench(ablation_constraints alp_core alp_frontend)
 alp_add_bench(ablation_join_order alp_machine alp_frontend)
 alp_add_bench(ablation_optimizations alp_machine alp_frontend)
-alp_add_bench(perf_partition alp_machine alp_frontend)
-alp_add_bench(perf_dependence alp_transform alp_frontend)
 alp_add_bench(ablation_blocksize alp_machine alp_frontend)
-alp_add_bench(perf_simulator alp_machine alp_frontend benchmark::benchmark)
 alp_add_bench(ablation_fusion alp_machine alp_frontend)
 alp_add_bench(ext_multicomputer alp_codegen alp_frontend)
-alp_add_bench(perf_comm alp_codegen alp_frontend)
-alp_add_bench(perf_service alp_service)
-alp_add_bench(perf_batch alp_service alp_corpus)
 
 # Figure 7 at the paper's own problem size (1K x 1K, 5 steps): the binary
 # exits nonzero unless all five shape checks hold. It takes ~0.2 s in a

@@ -63,6 +63,10 @@ bool requestFromPayload(const std::string &Payload, uint64_t MaxDeadlineMs,
 
 namespace {
 
+/// The most payload bytes one request may declare: one COMPILE payload,
+/// or the sum of one BATCH's payloads. Checked before any buffer is sized.
+constexpr uint64_t MaxRequestBytes = 64u << 20;
+
 bool writeAll(int Fd, const char *Data, size_t Len) {
   while (Len) {
     ssize_t N = ::send(Fd, Data, Len, MSG_NOSIGNAL);
@@ -288,7 +292,7 @@ void Server::handleConnection(int Fd) {
     }
     if (Line.rfind("COMPILE ", 0) == 0) {
       uint64_t Len = 0;
-      if (!parseU64(Line.substr(8), Len) || Len > (64u << 20)) {
+      if (!parseU64(Line.substr(8), Len) || Len > MaxRequestBytes) {
         Metrics.add("service.protocol_errors");
         writeAll(Fd, "ERR malformed COMPILE length\n");
         break;
@@ -319,11 +323,14 @@ void Server::handleConnection(int Fd) {
       }
       std::vector<std::string> Payloads(Count);
       bool ReadOk = true;
+      uint64_t Declared = 0; // Never exceeds MaxRequestBytes.
       for (uint64_t I = 0; I != Count && ReadOk; ++I) {
         std::string LenLine;
         uint64_t Len = 0;
         ReadOk = readLine(Fd, LenLine) && parseU64(LenLine, Len) &&
-                 Len <= (64u << 20) && readExact(Fd, Payloads[I], Len);
+                 Len <= MaxRequestBytes - Declared &&
+                 readExact(Fd, Payloads[I], Len);
+        Declared += Len;
       }
       if (!ReadOk) {
         Metrics.add("service.protocol_errors");

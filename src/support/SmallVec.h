@@ -31,10 +31,20 @@
 
 namespace alp {
 
-/// Inline-storage vector. \p GrowthHook (nullable) runs at the top of every
-/// growth beyond the current capacity — before any state changes, so a
-/// throwing hook (fault injection) leaves the container intact.
-template <typename T, unsigned InlineCap, void (*GrowthHook)() = nullptr>
+namespace detail {
+/// The default growth hook: a no-op that inlines away, so containers
+/// without fault injection pay nothing on growth.
+inline void noGrowthHook() {}
+} // namespace detail
+
+/// Inline-storage vector. \p GrowthHook runs at the top of every growth
+/// beyond the current capacity — before any state changes, so a throwing
+/// hook (fault injection) leaves the container intact. The hook is fixed
+/// at compile time; it is called unconditionally rather than compared
+/// with null, which GCC 12 rejects as a constant expression under
+/// -fsanitize=undefined.
+template <typename T, unsigned InlineCap,
+          void (*GrowthHook)() = &detail::noGrowthHook>
 class SmallVec {
   static_assert(InlineCap > 0, "SmallVec needs inline capacity");
 
@@ -248,8 +258,7 @@ private:
     if (NewCap < MinCap)
       NewCap = MinCap;
     assert(NewCap <= UINT32_MAX && "SmallVec capacity overflow");
-    if constexpr (GrowthHook != nullptr)
-      GrowthHook(); // May throw (fault injection): nothing mutated yet.
+    GrowthHook(); // May throw (fault injection): nothing mutated yet.
     T *NewPtr;
     Location NewLoc;
     if (Arena *A = Arena::current()) {

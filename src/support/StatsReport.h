@@ -2,8 +2,8 @@
 ///
 /// \file
 /// The one writer for the versioned stats JSON document (schema v2) that
-/// alpc --stats, the alpd service, alpc --batch, and the perf_* bench
-/// harnesses all emit. Before v2 each harness hand-rolled its own header
+/// alpc --stats and alpc --batch emit, and whose counters section alpd's
+/// STATS verb returns. Before v2 each producer hand-rolled its own header
 /// and ad-hoc aggregate shape; v2 unifies them:
 ///
 /// \code{.json}
@@ -44,9 +44,9 @@ class Tracer;
 
 class StatsReport {
 public:
-  /// \p Kind discriminates the producer ("compile", "batch", "service",
-  /// "bench_dependence", ...). Must be a plain identifier-like string; it
-  /// is embedded in the header unescaped.
+  /// \p Kind discriminates the producer ("compile", "batch", ...). Must
+  /// be a plain identifier-like string; it is embedded in the header
+  /// unescaped.
   explicit StatsReport(std::string Kind) : Kind(std::move(Kind)) {}
 
   /// Adds a producer-specific top-level field rendered between the header
@@ -68,8 +68,7 @@ public:
   /// Renders the whole document, trailing newline included.
   std::string render() const;
 
-  /// The document header for printf-style writers (the bench harnesses)
-  /// that stream bespoke sections after it:
+  /// The document header that render() starts with:
   /// `{\n  "alp_stats": {"schema_version": 2, "kind": "<kind>"},\n`.
   static std::string headerOpen(const std::string &Kind);
 

@@ -12,8 +12,8 @@
 /// Cost model: tracing is opt-in by pointer. A null Tracer* makes
 /// TraceSpan construction a pointer test and nothing else — no clock
 /// read, no allocation, no lock — so instrumentation stays in release
-/// builds at near-zero cost (the perf_dependence harness guards the
-/// disabled path against regression). Span names are static strings (a
+/// builds at near-zero cost (TraceTest.DisabledSpanDoesNotAllocate
+/// guards the disabled path). Span names are static strings (a
 /// fixed taxonomy, documented in docs/OBSERVABILITY.md); the per-instance
 /// identity (nest id, component id, processor count) travels in the
 /// integer Detail argument, never in a formatted name.

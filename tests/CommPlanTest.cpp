@@ -239,11 +239,12 @@ TEST(CommPlanTest, OverlapPipelinedToggle) {
   CodegenOptions Off = On;
   Off.OverlapPipelined = false;
 
-  for (const PlannedMessage *M : allOps(planCommunication(P, PD, Off)))
+  // allOps points into the plan, so the plan must outlive the loop.
+  CommPlan Plan = planCommunication(P, PD, Off);
+  for (const PlannedMessage *M : allOps(Plan))
     EXPECT_FALSE(M->Overlapped);
   // Overlap only changes how the sends are scheduled, not how many.
-  EXPECT_EQ(planCommunication(P, PD, On).Stats.Messages,
-            planCommunication(P, PD, Off).Stats.Messages);
+  EXPECT_EQ(planCommunication(P, PD, On).Stats.Messages, Plan.Stats.Messages);
 }
 
 //===----------------------------------------------------------------------===//
@@ -306,24 +307,27 @@ TEST(CommPlanTest, ReportIsDeterministic) {
 TEST(CommPlanTest, PlannedScheduleBeatsFineGrainedOnTouchstone) {
   // The acceptance bar for the planner: on the message-passing machine,
   // at least 5x fewer simulated messages AND strictly fewer cycles than
-  // the demand-driven fine-grained baseline on Jacobi.
-  Program P = compileFile("jacobi.alp");
-  MachineParams M = touchstone();
-  ProgramDecomposition PD = decomposeForTest(P, M);
+  // the demand-driven fine-grained baseline, on Jacobi (boundary shifts)
+  // and on the pipelined stencil (block-boundary sends).
+  for (Program P : {compileFile("jacobi.alp"), compile(pipelinedStencil())}) {
+    SCOPED_TRACE(P.Name);
+    MachineParams M = touchstone();
+    ProgramDecomposition PD = decomposeForTest(P, M);
 
-  NumaSimulator Fine(P, M);
-  applyDecomposition(Fine, P, PD);
-  SimResult Unplanned = Fine.run(32);
+    NumaSimulator Fine(P, M);
+    applyDecomposition(Fine, P, PD);
+    SimResult Unplanned = Fine.run(32);
 
-  NumaSimulator Planned(P, M);
-  Planned.setCommSchedule(
-      planCommunication(P, PD, CodegenOptions::forMachine(M)).schedule());
-  applyDecomposition(Planned, P, PD);
-  SimResult Plan = Planned.run(32);
+    NumaSimulator Planned(P, M);
+    Planned.setCommSchedule(
+        planCommunication(P, PD, CodegenOptions::forMachine(M)).schedule());
+    applyDecomposition(Planned, P, PD);
+    SimResult Plan = Planned.run(32);
 
-  ASSERT_GT(Plan.MessagesSent, 0.0);
-  EXPECT_GE(Unplanned.MessagesSent / Plan.MessagesSent, 5.0);
-  EXPECT_LT(Plan.Cycles, Unplanned.Cycles);
+    ASSERT_GT(Plan.MessagesSent, 0.0);
+    EXPECT_GE(Unplanned.MessagesSent / Plan.MessagesSent, 5.0);
+    EXPECT_LT(Plan.Cycles, Unplanned.Cycles);
+  }
 }
 
 TEST(CommPlanTest, UniprocessorIgnoresTheSchedule) {

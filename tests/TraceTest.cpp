@@ -21,17 +21,37 @@
 #include <sstream>
 
 // Global allocation counter: the disabled-tracer path must not allocate.
+// Every replaceable new/delete form goes through malloc/free, so the
+// counter sees each allocation and no library path (std::stable_sort's
+// nothrow temporary buffer, array new) mixes allocators.
 static std::atomic<uint64_t> GAllocations{0};
 
-void *operator new(std::size_t Size) {
+static void *countedMalloc(std::size_t Size) noexcept {
   GAllocations.fetch_add(1, std::memory_order_relaxed);
-  if (void *P = std::malloc(Size ? Size : 1))
+  return std::malloc(Size ? Size : 1);
+}
+
+void *operator new(std::size_t Size) {
+  if (void *P = countedMalloc(Size))
     return P;
   throw std::bad_alloc();
+}
+void *operator new[](std::size_t Size) { return operator new(Size); }
+void *operator new(std::size_t Size, const std::nothrow_t &) noexcept {
+  return countedMalloc(Size);
+}
+void *operator new[](std::size_t Size, const std::nothrow_t &) noexcept {
+  return countedMalloc(Size);
 }
 
 void operator delete(void *P) noexcept { std::free(P); }
 void operator delete(void *P, std::size_t) noexcept { std::free(P); }
+void operator delete(void *P, const std::nothrow_t &) noexcept { std::free(P); }
+void operator delete[](void *P) noexcept { std::free(P); }
+void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
+void operator delete[](void *P, const std::nothrow_t &) noexcept {
+  std::free(P);
+}
 
 using namespace alp;
 
@@ -222,21 +242,27 @@ TEST(TraceTest, StatsJsonCarriesSchemaVersionAndSections) {
 }
 
 TEST(TraceTest, CountersIdenticalAcrossJobs) {
-  std::string Renders[2];
-  unsigned JobCounts[2] = {1, 4};
-  for (int Run = 0; Run != 2; ++Run) {
-    Program P = compile(PipelineSrc);
-    MachineParams M;
-    MetricsRegistry Metrics;
-    DriverOptions Opts;
-    Opts.Jobs = JobCounts[Run];
-    Opts.Observe.Metrics = &Metrics;
-    decomposeForTest(P, M, Opts);
-    Renders[Run] = Metrics.renderCountersJson();
+  // The synthetic pipeline program, and the reduced SIMPLE conduct kernel
+  // (four nests under a time loop) as a checked-in second input.
+  const std::string Sources[] = {
+      PipelineSrc, readFile(std::string(ALP_TESTDATA_DIR) + "/conduct.alp")};
+  for (const std::string &Src : Sources) {
+    std::string Renders[2];
+    unsigned JobCounts[2] = {1, 4};
+    for (int Run = 0; Run != 2; ++Run) {
+      Program P = compile(Src);
+      MachineParams M;
+      MetricsRegistry Metrics;
+      DriverOptions Opts;
+      Opts.Jobs = JobCounts[Run];
+      Opts.Observe.Metrics = &Metrics;
+      decomposeForTest(P, M, Opts);
+      Renders[Run] = Metrics.renderCountersJson();
+    }
+    // The determinism contract: counter payloads are byte-identical for
+    // every --jobs value (gauges are exempt).
+    EXPECT_EQ(Renders[0], Renders[1]) << Src;
   }
-  // The determinism contract: counter payloads are byte-identical for
-  // every --jobs value (gauges are exempt).
-  EXPECT_EQ(Renders[0], Renders[1]);
 }
 
 TEST(TraceTest, StatsGoldenCountersForFig1) {
