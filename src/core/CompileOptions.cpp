@@ -235,8 +235,8 @@ const std::vector<RequestOption> &alp::requestOptions() {
                   [](auto &R) -> auto & { return R.Driver.DeadlineMs; }),
       // The one entry without a key reader (see CompileOptions.h).
       {"--jobs", "N",
-       "analysis worker threads (0 = all hardware threads); output is "
-       "identical for every value",
+       "analysis and --simulate sweep threads (0 = all hardware threads); "
+       "output is identical for every value",
        setCount([](auto &R) -> auto & { return R.Driver.Jobs; }), nullptr},
       {"--task-retries", "N",
        "extra attempts per parallel task on a shrunken budget before it "

@@ -17,6 +17,7 @@
 #include "core/Verify.h"
 #include "ir/Printer.h"
 #include "support/FailPoint.h"
+#include "support/ThreadPool.h"
 #include "support/Trace.h"
 
 #include <cstdarg>
@@ -144,6 +145,14 @@ CompileResult CompileSession::compile(const CompileRequest &Req) {
   if (!Prog)
     return Done(1);
   Program P = std::move(*Prog);
+
+  // One pool per request, shared by every decompose and the simulation
+  // sweep: the caller's (a BatchSession's warm workers, where these
+  // sections nest and run serially) or one of Jobs threads.
+  std::optional<ThreadPool> OwnedPool;
+  if (!Opts.Pool)
+    Opts.Pool = &OwnedPool.emplace(
+        Opts.Jobs ? Opts.Jobs : ThreadPool::hardwareConcurrency());
 
   // Lint-only mode: run the race + model passes over the compiled
   // program, then — when the program decomposes — the schedule verifier
@@ -402,21 +411,30 @@ CompileResult CompileSession::compile(const CompileRequest &Req) {
           Sim.setCommSchedule(planCommunication(P, PD, PlanCG).schedule());
         }
         applyDecomposition(Sim, P, PD);
-        double Seq = Sim.sequentialCycles();
-        appendf(Res.Out, "\n=== simulation (machine: %s, %u procs) ===\n",
-                Req.MachineName.c_str(), Req.Procs);
-        appendf(Res.Out, "sequential: %.3g cycles\n", Seq);
-        for (unsigned Pr = 1; Pr <= Req.Procs; Pr *= 2) {
-          SimResult R = Sim.run(Pr);
+        std::vector<unsigned> Procs;
+        for (uint64_t Pr = 1; Pr <= Req.Procs; Pr *= 2)
+          Procs.push_back(static_cast<unsigned>(Pr));
+        SimSweep Sw = Sim.sweep(Procs, Opts.Pool);
+        // The serial loop's bytes: every line before the first failure in
+        // processor order (the baseline first), then that failure.
+        const size_t Completed = Sw.completed();
+        if (Completed != 0) {
+          appendf(Res.Out, "\n=== simulation (machine: %s, %u procs) ===\n",
+                  Req.MachineName.c_str(), Req.Procs);
+          appendf(Res.Out, "sequential: %.3g cycles\n", Sw.SequentialCycles);
+        }
+        for (size_t I = 0; I + 1 < Completed; ++I) {
+          const SimResult &R = Sw.Runs[I];
           appendf(Res.Out,
                   "%3u procs: %12.3g cycles  speedup %6.2f  "
                   "(reorg %.2g, sync %.2g, remote lines %.3g",
-                  Pr, R.Cycles, Seq / R.Cycles, R.ReorgCycles, R.SyncCycles,
-                  R.RemoteLineFetches);
+                  Procs[I], R.Cycles, Sw.SequentialCycles / R.Cycles,
+                  R.ReorgCycles, R.SyncCycles, R.RemoteLineFetches);
           if (M.MessagePassing)
             appendf(Res.Out, ", msgs %.3g", R.MessagesSent);
           Res.Out += ")\n";
         }
+        Sw.rethrowFirstFailure();
       })) {
     WriteObservability();
     return Done(3);

@@ -83,8 +83,10 @@ struct DriverOptions {
   TraceContext Observe;
   /// Caller-provided worker pool. Null (the default) makes the driver own
   /// a fresh pool of `Jobs` workers per run; non-null reuses the given
-  /// pool — Jobs is then ignored and the batch session's persistent
-  /// workers keep their warm thread-local arena blocks across requests.
+  /// pool — Jobs is then ignored. CompileSession passes one pool per
+  /// request, which its --simulate sweep shares, and the batch session's
+  /// persistent workers keep their warm thread-local arena blocks across
+  /// requests.
   /// Nested sections on a busy pool degrade to serial in the caller
   /// (ThreadPool.h), so a batch fanning requests over the same pool runs
   /// each request's analysis serially on one warm worker. The output is

@@ -15,6 +15,7 @@
 #include "support/CheckedInt.h"
 #include "support/Diagnostics.h"
 #include "support/FailPoint.h"
+#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cmath>
@@ -262,6 +263,8 @@ struct NumaSimulator::RunState {
   std::map<unsigned, ArrayPlacement> Current;
   std::map<std::string, Rational> Bindings;
   SimResult Res;
+  /// Reorganizations simulated so far (the "sim.reorganizations" tally).
+  uint64_t Reorganizations = 0;
 
   /// By array id. Evaluated at the array's first segment, where the
   /// Rational model first evaluated extents, so an extent that overflows
@@ -602,7 +605,7 @@ double NumaSimulator::chunkCost(unsigned Proc, RunState &S) const {
 // Nest execution
 //===----------------------------------------------------------------------===//
 
-void NumaSimulator::reorganizeIfNeeded(unsigned NestId, RunState &S) {
+void NumaSimulator::reorganizeIfNeeded(unsigned NestId, RunState &S) const {
   const LoopNest &Nest = P.nest(NestId);
   for (unsigned A : Nest.referencedArrays()) {
     auto Want = PlacementAt.find({A, NestId});
@@ -645,7 +648,7 @@ void NumaSimulator::reorganizeIfNeeded(unsigned NestId, RunState &S) {
     S.Res.ReorgCycles += Cycles;
     S.Res.Cycles += Cycles;
     S.Current[A] = Want->second;
-    Observe.count("sim.reorganizations");
+    ++S.Reorganizations;
   }
 }
 
@@ -696,7 +699,7 @@ void NumaSimulator::plannedNestComm(unsigned NestId, RunState &S) const {
   S.Res.MemoryCycles += Cycles;
 }
 
-void NumaSimulator::runNest(unsigned NestId, RunState &S) {
+void NumaSimulator::runNest(unsigned NestId, RunState &S) const {
   const LoopNest &Nest = P.nest(NestId);
   reorganizeIfNeeded(NestId, S);
   if (S.PlannedComm)
@@ -855,7 +858,7 @@ void NumaSimulator::runNest(unsigned NestId, RunState &S) {
 //===----------------------------------------------------------------------===//
 
 void NumaSimulator::runNodes(const std::vector<ProgramNode> &Nodes,
-                             RunState &S) {
+                             RunState &S) const {
   for (const ProgramNode &N : Nodes) {
     switch (N.NodeKind) {
     case ProgramNode::Kind::Nest:
@@ -900,6 +903,7 @@ void NumaSimulator::runNodes(const std::vector<ProgramNode> &Nodes,
     }
     case ProgramNode::Kind::Branch: {
       // Expected cost: weight each arm; keep the likelier arm's state.
+      // Both arms were simulated, so both arms' reorganizations count.
       RunState ThenS = S;
       runNodes(N.Children, ThenS);
       RunState ElseS = S;
@@ -908,6 +912,8 @@ void NumaSimulator::runNodes(const std::vector<ProgramNode> &Nodes,
       RunState &Keep = P1 >= 0.5 ? ThenS : ElseS;
       double Blend = P1 * ThenS.Res.Cycles + (1 - P1) * ElseS.Res.Cycles;
       Keep.Res.Cycles = Blend;
+      Keep.Reorganizations = ThenS.Reorganizations + ElseS.Reorganizations -
+                             S.Reorganizations;
       S = std::move(Keep);
       break;
     }
@@ -923,10 +929,9 @@ FailPoint FpSimulateRun("machine.simulate.run");
 
 } // namespace
 
-SimResult NumaSimulator::run(unsigned NumProcs) {
+NumaSimulator::RunOutcome NumaSimulator::simulate(unsigned NumProcs) const {
   TraceSpan Span(Observe.Trace, "sim.run", NumProcs);
   FpSimulateRun.evaluateOrThrow();
-  Observe.count("sim.runs");
   RunState S = startRun(std::max(1u, std::min(NumProcs, M.NumProcs)),
                         /*AllLocal=*/false);
   if (S.PlannedComm) {
@@ -945,13 +950,64 @@ SimResult NumaSimulator::run(unsigned NumProcs) {
     }
   }
   runNodes(P.TopLevel, S);
-  if (Observe.Metrics)
-    S.Res.publishTo(*Observe.Metrics);
-  return S.Res;
+  return {S.Res, S.Reorganizations};
 }
 
-double NumaSimulator::sequentialCycles() {
+void NumaSimulator::publish(const RunOutcome &O) const {
+  Observe.count("sim.runs");
+  if (O.Reorganizations)
+    Observe.count("sim.reorganizations", O.Reorganizations);
+  if (Observe.Metrics)
+    O.Res.publishTo(*Observe.Metrics);
+}
+
+SimResult NumaSimulator::run(unsigned NumProcs) const {
+  RunOutcome O = simulate(NumProcs);
+  publish(O);
+  return O.Res;
+}
+
+double NumaSimulator::sequentialCycles() const {
   RunState S = startRun(1, /*AllLocal=*/true);
   runNodes(P.TopLevel, S);
   return S.Res.Cycles;
+}
+
+SimSweep NumaSimulator::sweep(const std::vector<unsigned> &Procs,
+                              ThreadPool *Pool) const {
+  TraceSpan Span(Observe.Trace, "sim.sweep");
+  const size_t N = Procs.size();
+  SimSweep Sw;
+  Sw.Errors.resize(N + 1);
+  std::vector<RunOutcome> Outcomes(N);
+  // Task T < N runs Procs[N - 1 - T] and task N the baseline: a run costs
+  // up to twice the one before it, so the longest tasks start first.
+  parallelForN(Pool, N + 1, [&](size_t T) {
+    try {
+      if (T == N)
+        Sw.SequentialCycles = sequentialCycles();
+      else
+        Outcomes[N - 1 - T] = simulate(Procs[N - 1 - T]);
+    } catch (...) {
+      Sw.Errors[T == N ? 0 : N - T] = std::current_exception();
+    }
+  });
+  const size_t Done = Sw.completed();
+  for (size_t I = 0; I + 1 < Done; ++I)
+    publish(Outcomes[I]);
+  for (RunOutcome &O : Outcomes)
+    Sw.Runs.push_back(O.Res);
+  return Sw;
+}
+
+size_t SimSweep::completed() const {
+  size_t I = 0;
+  while (I != Errors.size() && !Errors[I])
+    ++I;
+  return I;
+}
+
+void SimSweep::rethrowFirstFailure() const {
+  if (size_t I = completed(); I != Errors.size())
+    std::rethrow_exception(Errors[I]);
 }

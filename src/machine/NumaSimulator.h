@@ -28,11 +28,14 @@
 #include "machine/CommSchedule.h"
 #include "support/Trace.h"
 
+#include <exception>
 #include <map>
 #include <string>
 #include <vector>
 
 namespace alp {
+
+class ThreadPool;
 
 /// Where an array's pages live.
 struct ArrayPlacement {
@@ -96,6 +99,23 @@ struct SimResult {
   void publishTo(MetricsRegistry &MR) const;
 };
 
+/// What NumaSimulator::sweep returns: the sequential baseline and one
+/// SimResult per requested processor count, in the order requested. Every
+/// task runs; one that threw leaves its exception instead of a result.
+struct SimSweep {
+  double SequentialCycles = 0.0;
+  std::vector<SimResult> Runs;
+  /// One slot per task in processor order: [0] is the sequential
+  /// baseline and [I + 1] is Runs[I]. Null where the task completed.
+  std::vector<std::exception_ptr> Errors;
+
+  /// Tasks, in processor order, that completed before the first failure
+  /// (Errors.size() when none failed).
+  size_t completed() const;
+  /// Rethrows the first failure in processor order; no-op when none.
+  void rethrowFirstFailure() const;
+};
+
 /// The simulator. Configure placements and schedules, then run.
 class NumaSimulator {
 public:
@@ -125,18 +145,31 @@ public:
   /// for the block size threaded through schedule derivation).
   const MachineParams &machine() const { return M; }
 
-  /// Observability sink: a "sim.run" span per run() (Detail = processor
-  /// count), "sim.runs" / "sim.reorganizations" counters, and the last
-  /// run's SimResult as "sim.*" gauges.
+  /// Observability sink: a "sim.run" span per run (Detail = processor
+  /// count), recorded on the thread that ran it, so a sweep's spans may
+  /// overlap on worker rows; a "sim.sweep" span per sweep(); the
+  /// "sim.runs" / "sim.reorganizations" counters; and the SimResult of the
+  /// last run published as "sim.*" gauges. sweep() publishes the counters
+  /// and gauges after its join, in processor order, so the gauges hold its
+  /// largest processor count's run.
   void setObserve(TraceContext Observe) { this->Observe = Observe; }
 
   /// Runs the whole program once with \p NumProcs active processors
   /// (capped at the machine's processor count).
-  SimResult run(unsigned NumProcs);
+  SimResult run(unsigned NumProcs) const;
 
   /// Sequential baseline: every nest on one processor with all data local
   /// (the "best sequential version" the paper's speedups are relative to).
-  double sequentialCycles();
+  double sequentialCycles() const;
+
+  /// sequentialCycles() and run(P) for every P in \p Procs, as parallel
+  /// tasks on \p Pool: the largest P first, the baseline last (a null,
+  /// one-thread or busy pool runs them serially in that order). The runs
+  /// only read the simulator, so they are safe to run concurrently. After
+  /// the join it publishes each run's counters and gauges in processor
+  /// order, up to the first failure, as the serial calls stopped there
+  /// would have. Never rethrows a task's exception; see SimSweep.
+  SimSweep sweep(const std::vector<unsigned> &Procs, ThreadPool *Pool) const;
 
 private:
   const Program &P;
@@ -151,6 +184,18 @@ private:
   /// tables the costing reads (defined in NumaSimulator.cpp).
   struct RunState;
   struct AccessTable;
+
+  /// One run's result and the reorganizations it tallied.
+  struct RunOutcome {
+    SimResult Res;
+    uint64_t Reorganizations = 0;
+  };
+
+  /// The core of run() and sweep(): one run under its "sim.run" span.
+  /// Publishes nothing.
+  RunOutcome simulate(unsigned NumProcs) const;
+  /// Publishes one run's counters and gauges into Observe.
+  void publish(const RunOutcome &O) const;
 
   RunState startRun(unsigned Procs, bool AllLocal) const;
   unsigned clusterOfProc(unsigned Proc) const;
@@ -174,9 +219,9 @@ private:
   double segmentCost(unsigned Proc, AccessTable &A, int64_t Length,
                      RunState &S) const;
 
-  void runNodes(const std::vector<ProgramNode> &Nodes, RunState &S);
-  void runNest(unsigned NestId, RunState &S);
-  void reorganizeIfNeeded(unsigned NestId, RunState &S);
+  void runNodes(const std::vector<ProgramNode> &Nodes, RunState &S) const;
+  void runNest(unsigned NestId, RunState &S) const;
+  void reorganizeIfNeeded(unsigned NestId, RunState &S) const;
   /// Planned-mode software cost of the nest's scheduled messages.
   void plannedNestComm(unsigned NestId, RunState &S) const;
 };

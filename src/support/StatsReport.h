@@ -68,14 +68,14 @@ public:
   /// Renders the whole document, trailing newline included.
   std::string render() const;
 
-  /// The document header that render() starts with:
-  /// `{\n  "alp_stats": {"schema_version": 2, "kind": "<kind>"},\n`.
-  static std::string headerOpen(const std::string &Kind);
-
   /// Escapes \p S for embedding inside a JSON string literal.
   static std::string escapeJson(const std::string &S);
 
 private:
+  /// The document header that render() starts with:
+  /// `{\n  "alp_stats": {"schema_version": 2, "kind": "<kind>"},\n`.
+  static std::string headerOpen(const std::string &Kind);
+
   std::string Kind;
   std::vector<std::pair<std::string, std::string>> Fields;
   const MetricsRegistry *Counters = nullptr;

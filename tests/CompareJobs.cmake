@@ -4,9 +4,10 @@
 #
 # Variables: ALPC (binary), INPUT (.alp file), JOBS_A, JOBS_B, and
 # optionally EXTRA (semicolon list of extra alpc flags, e.g. an unbounded
-# --failpoints spec — injected faults must degrade identically too) and
+# --failpoints spec — injected faults must degrade identically too),
 # FLAGS (semicolon list replacing the default "--spmd;--deps" mode, e.g.
-# "--lint" to pin the diagnostic stream itself).
+# "--lint" to pin the diagnostic stream itself) and EXPECT_EXIT (the exit
+# code both runs must give).
 
 if(NOT DEFINED JOBS_A)
   set(JOBS_A 1)
@@ -36,6 +37,9 @@ if(NOT RC_A EQUAL RC_B)
   message(FATAL_ERROR
     "exit codes differ: --jobs ${JOBS_A} -> ${RC_A}, "
     "--jobs ${JOBS_B} -> ${RC_B}")
+endif()
+if(DEFINED EXPECT_EXIT AND NOT RC_A EQUAL EXPECT_EXIT)
+  message(FATAL_ERROR "exit code ${RC_A}, expected ${EXPECT_EXIT}")
 endif()
 if(NOT OUT_A STREQUAL OUT_B)
   message(FATAL_ERROR

@@ -10,6 +10,7 @@
 
 #include "core/CompileSession.h"
 #include "frontend/Lowering.h"
+#include "support/FailPoint.h"
 
 #include "gtest/gtest.h"
 
@@ -201,6 +202,38 @@ TEST(CompileSessionTest, CliStatsToStdoutComeLast) {
   std::string Stats = Cli.Out.substr(Lib.Out.size());
   EXPECT_EQ(Stats.rfind("{", 0), 0u) << Stats;
   EXPECT_NE(Stats.find("\"schema_version\": 2"), std::string::npos);
+}
+
+TEST(CompileSessionTest, SimulationLinesFollowProcessorOrder) {
+  const std::string Path = std::string(ALP_TESTDATA_DIR) + "/conduct.alp";
+  CompileRequest Req = requestFor(Path);
+  Req.DoSim = true;
+  Req.Driver.Jobs = 4;
+  expectCliMatchesLibrary(Path, "--simulate --jobs 4", Req);
+  CompileResult Clean = CompileSession::compile(Req);
+  ASSERT_EQ(Clean.ExitCode, 0);
+  size_t At = Clean.Out.find("sequential: ");
+  for (unsigned P = 1; P <= 32; P *= 2) {
+    char Line[16];
+    std::snprintf(Line, sizeof(Line), "\n%3u procs: ", P);
+    At = Clean.Out.find(Line, At);
+    ASSERT_NE(At, std::string::npos) << Line << " out of order in\n"
+                                     << Clean.Out;
+  }
+
+  // With one armed trigger and no worker threads, the first task, the
+  // 32-processor run, is the one that fails: the bytes are still the
+  // serial loop's, every line before it and then its error.
+  ASSERT_TRUE(FailPointRegistry::instance()
+                  .configure("machine.simulate.run:throw:1")
+                  .isOk());
+  Req.Driver.Jobs = 1;
+  CompileResult Faulted = CompileSession::compile(Req);
+  FailPointRegistry::instance().reset();
+  EXPECT_EQ(Faulted.ExitCode, 3);
+  EXPECT_EQ(Faulted.Out, Clean.Out.substr(0, Clean.Out.find(" 32 procs: ")));
+  EXPECT_EQ(Faulted.Err.rfind("error: simulation failed: ", 0), 0u)
+      << Faulted.Err;
 }
 
 } // namespace

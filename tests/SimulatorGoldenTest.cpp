@@ -17,6 +17,10 @@
 // with ALP_UPDATE_SIM_GOLDEN=<golden file>: each case then appends its
 // lines to that file instead of comparing.
 //
+// SimulatorGoldenTest.SweepMatchesSerialRuns holds NumaSimulator::sweep to
+// the serial calls on the same configurations: the same bits, errors,
+// counters and gauges, on a thread pool and serially.
+//
 //===----------------------------------------------------------------------===//
 
 #include "machine/NumaSimulator.h"
@@ -25,7 +29,9 @@
 #include "codegen/CommPlan.h"
 #include "core/Driver.h"
 #include "frontend/Lowering.h"
+#include "support/FailPoint.h"
 #include "support/Metrics.h"
+#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
@@ -37,6 +43,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 
 using namespace alp;
@@ -148,28 +155,49 @@ MachineParams touchstone() {
   return M;
 }
 
-/// One machine of `alpc --simulate --machine=<Name>`: decompose a fresh
-/// parse, then simulate with the planned schedule installed when asked.
-void simulateLikeAlpc(Recorder &Rec, const std::string &Src,
-                      const std::string &Name, const MachineParams &M,
-                      bool Planned) {
+/// The machines of `alpc --simulate --machine=<dash|touchstone>`, plus
+/// touchstone without the planned schedule.
+struct AlpcMachine {
+  const char *Name;
+  MachineParams M;
+  bool Planned;
+};
+const AlpcMachine AlpcMachines[] = {{"dash", dash(), false},
+                                    {"touchstone", touchstone(), true},
+                                    {"touchstone-unplanned", touchstone(),
+                                     false}};
+
+/// Decomposes a fresh parse of \p Src, sets up a simulator the way `alpc
+/// --simulate` does (with the planned schedule installed when asked) and
+/// hands it to \p Use. Returns the error line of a failed setup, or "".
+std::string withAlpcSimulator(const std::string &Src, const AlpcMachine &AM,
+                              const std::function<void(NumaSimulator &)> &Use) {
   Program P = *parse(Src);
-  Expected<ProgramDecomposition> PD = decomposeOrError(P, M, DriverOptions());
-  if (!PD.hasValue()) {
-    Rec.add(Name, "decompose error: " + PD.status().str());
-    return;
-  }
+  Expected<ProgramDecomposition> PD =
+      decomposeOrError(P, AM.M, DriverOptions());
+  if (!PD.hasValue())
+    return "decompose error: " + PD.status().str();
   try {
-    NumaSimulator Sim(P, M);
-    if (Planned)
+    NumaSimulator Sim(P, AM.M);
+    if (AM.Planned)
       Sim.setCommSchedule(
-          planCommunication(P, *PD, CodegenOptions::forMachine(M))
+          planCommunication(P, *PD, CodegenOptions::forMachine(AM.M))
               .schedule());
     applyDecomposition(Sim, P, *PD);
-    Rec.simulate(Name, Sim, AlpcProcs);
+    Use(Sim);
   } catch (...) {
-    Rec.add(Name, "setup error: " + statusFromCurrentException().str());
+    return "setup error: " + statusFromCurrentException().str();
   }
+  return "";
+}
+
+void simulateLikeAlpc(Recorder &Rec, const std::string &Src,
+                      const AlpcMachine &AM) {
+  std::string Err = withAlpcSimulator(Src, AM, [&](NumaSimulator &Sim) {
+    Rec.simulate(AM.Name, Sim, AlpcProcs);
+  });
+  if (!Err.empty())
+    Rec.add(AM.Name, Err);
 }
 
 std::string readSource(const std::string &Rel) {
@@ -205,10 +233,8 @@ class ProgramGolden : public testing::TestWithParam<std::string> {};
 TEST_P(ProgramGolden, MatchesGolden) {
   std::string Src = readSource(GetParam());
   Recorder Rec(GetParam());
-  simulateLikeAlpc(Rec, Src, "dash", dash(), /*Planned=*/false);
-  simulateLikeAlpc(Rec, Src, "touchstone", touchstone(), /*Planned=*/true);
-  simulateLikeAlpc(Rec, Src, "touchstone-unplanned", touchstone(),
-                   /*Planned=*/false);
+  for (const AlpcMachine &AM : AlpcMachines)
+    simulateLikeAlpc(Rec, Src, AM);
   Rec.check();
 }
 
@@ -549,4 +575,150 @@ TEST(SimulatorGoldenHand, OverflowAndFractions) {
   Sim.setSchedule(0, schedule(Mode::Forall, 0));
   Rec.simulate("fractional", Sim, HandProcs);
   Rec.check();
+}
+
+//===----------------------------------------------------------------------===//
+// The parallel sweep
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+std::string errorText(const std::exception_ptr &E) {
+  try {
+    std::rethrow_exception(E);
+  } catch (...) {
+    return "error: " + statusFromCurrentException().str();
+  }
+}
+
+std::string resultBits(const SimResult &R) {
+  std::string Bits;
+  for (double F : {R.Cycles, R.ComputeCycles, R.MemoryCycles, R.ReorgCycles,
+                   R.SyncCycles, R.CacheAccesses, R.LocalLineFetches,
+                   R.RemoteLineFetches, R.MessagesSent})
+    Bits += " " + hexBits(F);
+  return Bits;
+}
+
+/// Counters and the bit patterns of the gauges.
+std::string published(const MetricsRegistry &MR) {
+  std::string S = MR.renderCountersJson();
+  for (const auto &[Name, V] : MR.gauges())
+    S += "\n" + Name + " " + hexBits(V);
+  return S;
+}
+
+/// What the serial calls give: sequentialCycles(), then run(P) for each P,
+/// every call made (one line each), with observation up to the first
+/// failure, where a serial loop stops.
+std::vector<std::string> serialCalls(NumaSimulator &Sim,
+                                     const std::vector<unsigned> &Procs,
+                                     MetricsRegistry &MR) {
+  std::vector<std::string> Lines;
+  bool Failed = false;
+  try {
+    Lines.push_back("seq " + hexBits(Sim.sequentialCycles()));
+  } catch (...) {
+    Lines.push_back(errorText(std::current_exception()));
+    Failed = true;
+  }
+  for (unsigned P : Procs) {
+    Sim.setObserve({nullptr, Failed ? nullptr : &MR});
+    try {
+      Lines.push_back("p" + std::to_string(P) + resultBits(Sim.run(P)));
+    } catch (...) {
+      Lines.push_back(errorText(std::current_exception()));
+      Failed = true;
+    }
+  }
+  Sim.setObserve({});
+  return Lines;
+}
+
+/// sweep()'s lines in the same form, and its first failure.
+std::vector<std::string> sweepLines(const SimSweep &Sw,
+                                    const std::vector<unsigned> &Procs,
+                                    std::string &First) {
+  std::vector<std::string> Lines;
+  EXPECT_EQ(Sw.Errors.size(), Procs.size() + 1);
+  EXPECT_EQ(Sw.Runs.size(), Procs.size());
+  if (Sw.Errors.size() != Procs.size() + 1 || Sw.Runs.size() != Procs.size())
+    return Lines;
+  Lines.push_back(Sw.Errors[0] ? errorText(Sw.Errors[0])
+                               : "seq " + hexBits(Sw.SequentialCycles));
+  for (size_t I = 0; I != Procs.size(); ++I)
+    Lines.push_back(Sw.Errors[I + 1] ? errorText(Sw.Errors[I + 1])
+                                     : "p" + std::to_string(Procs[I]) +
+                                           resultBits(Sw.Runs[I]));
+  try {
+    Sw.rethrowFirstFailure();
+  } catch (...) {
+    First = errorText(std::current_exception());
+  }
+  return Lines;
+}
+
+/// Sweeps \p Sim on \p Pool and on no pool; each must match the serial
+/// calls line for line, rethrow the serial loop's first failure, and
+/// publish the serial loop's counters and gauges.
+void expectSweepMatchesSerial(NumaSimulator &Sim,
+                              const std::vector<unsigned> &Procs,
+                              ThreadPool &Pool) {
+  MetricsRegistry SerialMR;
+  std::vector<std::string> Serial = serialCalls(Sim, Procs, SerialMR);
+  std::string SerialFirst;
+  for (const std::string &L : Serial)
+    if (L.compare(0, 6, "error:") == 0) {
+      SerialFirst = L;
+      break;
+    }
+  for (ThreadPool *On : {&Pool, static_cast<ThreadPool *>(nullptr)}) {
+    SCOPED_TRACE(On ? "4-thread pool" : "no pool");
+    MetricsRegistry MR;
+    Sim.setObserve({nullptr, &MR});
+    SimSweep Sw = Sim.sweep(Procs, On);
+    Sim.setObserve({});
+    std::string First;
+    EXPECT_EQ(sweepLines(Sw, Procs, First), Serial);
+    EXPECT_EQ(First, SerialFirst);
+    EXPECT_EQ(published(MR), published(SerialMR));
+  }
+}
+
+} // namespace
+
+TEST(SimulatorGoldenTest, SweepMatchesSerialRuns) {
+  ThreadPool Pool(4);
+  for (const std::string &File : programFiles()) {
+    std::string Src = readSource(File);
+    for (const AlpcMachine &AM : AlpcMachines) {
+      SCOPED_TRACE(File + " on " + AM.Name);
+      std::string Err = withAlpcSimulator(Src, AM, [&](NumaSimulator &Sim) {
+        expectSweepMatchesSerial(Sim, AlpcProcs, Pool);
+      });
+      EXPECT_EQ(Err.find("setup error"), std::string::npos) << Err;
+    }
+  }
+  // Runs that throw, from the hand-built overflow cases.
+  for (const char *Src :
+       {BoundOverflowSrc, SubscriptOverflowSrc, ExtentOverflowSrc}) {
+    SCOPED_TRACE(Src);
+    Program P = parseOrDie(Src);
+    NumaSimulator Sim(P, dash());
+    Sim.setStaticPlacement(0, ArrayPlacement::blockedDim(0));
+    expectSweepMatchesSerial(Sim, AlpcProcs, Pool);
+    // With one armed trigger the first task, the 32-processor run, fails
+    // differently from the rest; the serial loop's first failure, the
+    // baseline's, is the one rethrown.
+    ASSERT_TRUE(FailPointRegistry::instance()
+                    .configure("machine.simulate.run:oom:1")
+                    .isOk());
+    SimSweep Sw = Sim.sweep(AlpcProcs, nullptr);
+    FailPointRegistry::instance().reset();
+    std::string First;
+    std::vector<std::string> Lines = sweepLines(Sw, AlpcProcs, First);
+    ASSERT_EQ(Lines.size(), AlpcProcs.size() + 1);
+    EXPECT_NE(Lines.back(), Lines.front());
+    EXPECT_EQ(First, Lines.front());
+  }
 }

@@ -7,6 +7,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "DecomposeForTest.h"
+#include "core/CompileSession.h"
 #include "core/Driver.h"
 #include "frontend/Lowering.h"
 #include "support/FailPoint.h"
@@ -15,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <new>
@@ -246,9 +248,9 @@ TEST(TraceTest, CountersIdenticalAcrossJobs) {
   // (four nests under a time loop) as a checked-in second input.
   const std::string Sources[] = {
       PipelineSrc, readFile(std::string(ALP_TESTDATA_DIR) + "/conduct.alp")};
+  const unsigned JobCounts[2] = {1, 4};
   for (const std::string &Src : Sources) {
     std::string Renders[2];
-    unsigned JobCounts[2] = {1, 4};
     for (int Run = 0; Run != 2; ++Run) {
       Program P = compile(Src);
       MachineParams M;
@@ -262,6 +264,31 @@ TEST(TraceTest, CountersIdenticalAcrossJobs) {
     // The determinism contract: counter payloads are byte-identical for
     // every --jobs value (gauges are exempt).
     EXPECT_EQ(Renders[0], Renders[1]) << Src;
+  }
+  // --simulate requests (fig5's runs reorganize): the sweep publishes its
+  // counters, and its sim.* gauges, after the join in processor order, so
+  // those gauges must match too.
+  for (const char *File : {"/conduct.alp", "/fig5.alp"}) {
+    std::string Renders[2];
+    for (int Run = 0; Run != 2; ++Run) {
+      MetricsRegistry Metrics;
+      CompileRequest Req;
+      Req.Source = readFile(std::string(ALP_TESTDATA_DIR) + File);
+      Req.DoSim = true;
+      Req.Driver.Jobs = JobCounts[Run];
+      Req.Driver.Observe.Metrics = &Metrics;
+      EXPECT_EQ(CompileSession::compile(Req).ExitCode, 0) << File;
+      Renders[Run] = Metrics.renderCountersJson();
+      for (const auto &[Name, V] : Metrics.gauges())
+        if (Name.compare(0, 4, "sim.") == 0) {
+          char Buf[64];
+          std::snprintf(Buf, sizeof(Buf), "%s=%a\n", Name.c_str(), V);
+          Renders[Run] += Buf;
+        }
+    }
+    EXPECT_NE(Renders[0].find("\"sim.runs\": 6"), std::string::npos);
+    EXPECT_NE(Renders[0].find("sim.cycles="), std::string::npos);
+    EXPECT_EQ(Renders[0], Renders[1]) << File;
   }
 }
 

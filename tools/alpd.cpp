@@ -25,6 +25,7 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
+#include <pthread.h>
 #include <string>
 #include <vector>
 
@@ -44,6 +45,15 @@ void handleSignal(int) {
 } // namespace
 
 int main(int argc, char **argv) {
+  // SIGINT and SIGTERM stay blocked until their handler can reach the
+  // server; the server's threads inherit the mask, so the main thread
+  // takes a signal sent in between once it unblocks them.
+  sigset_t StopSignals;
+  sigemptyset(&StopSignals);
+  sigaddset(&StopSignals, SIGINT);
+  sigaddset(&StopSignals, SIGTERM);
+  pthread_sigmask(SIG_BLOCK, &StopSignals, nullptr);
+
   if (Status S = FailPointRegistry::instance().configureFromEnv();
       !S.isOk()) {
     std::fprintf(stderr, "error: ALP_FAILPOINTS: %s\n", S.str().c_str());
@@ -152,6 +162,7 @@ int main(int argc, char **argv) {
   GServer.store(&Srv, std::memory_order_release);
   std::signal(SIGINT, handleSignal);
   std::signal(SIGTERM, handleSignal);
+  pthread_sigmask(SIG_UNBLOCK, &StopSignals, nullptr);
 
   std::printf("alpd: listening on %s (%u worker thread(s), cache %zu "
               "entries)\n",
